@@ -1,25 +1,15 @@
 #pragma once
 
-// Shared scaffolding for the reproduction benches: every bench prints a
-// banner, the measured series/table, and the paper's published values or
-// qualitative claims next to it, so `for b in build/bench/*; do $b; done`
-// produces a self-contained paper-vs-measured report.
-//
-// Runtime knob: SDCM_RUNS sets the number of simulation runs per
-// (system, lambda) point (default 30, like the paper's 30 event logs).
+// Shared scaffolding for the benches: a banner, plain notes, PASS/DIFF
+// claim lines and a small JSON writer for the BENCH_*.json artifacts.
 
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
-#include <iostream>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "sdcm/experiment/env.hpp"
-#include "sdcm/experiment/report.hpp"
-#include "sdcm/experiment/sweep.hpp"
 
 namespace sdcm::bench {
 
@@ -36,63 +26,12 @@ inline void note(std::string_view text) {
   std::printf("%.*s\n", static_cast<int>(text.size()), text.data());
 }
 
-inline void check(bool ok, std::string_view claim) {
+/// Prints a claim's verdict and returns it, so a bench can fold its
+/// claims into its exit status.
+inline bool check(bool ok, std::string_view claim) {
   std::printf("  [%s] %.*s\n", ok ? "PASS" : "DIFF",
               static_cast<int>(claim.size()), claim.data());
-}
-
-/// Runs the paper's full sweep (5 systems x 19 lambdas x SDCM_RUNS runs)
-/// with a typed ablation spec and an optional escape-hatch customization
-/// for knobs outside the spec (lease periods, poll modes, ...).
-inline experiment::SweepResult paper_sweep(
-    std::function<void(experiment::ExperimentConfig&)> customize = {},
-    std::vector<experiment::SystemModel> models = {
-        std::begin(experiment::kAllModels),
-        std::end(experiment::kAllModels)},
-    const experiment::AblationSpec& ablation = {}) {
-  experiment::SweepConfig config;
-  config.models = std::move(models);
-  config.runs = experiment::env::runs(30);
-  config.threads = experiment::env::threads();
-  config.ablation = ablation;
-  config.customize = std::move(customize);
-  std::printf("runs per point: %d (override with SDCM_RUNS)\n", config.runs);
-  return experiment::run_sweep(config);
-}
-
-/// Ablation-study shorthand: the spec is the whole variation.
-inline experiment::SweepResult paper_sweep(
-    const experiment::AblationSpec& ablation,
-    std::vector<experiment::SystemModel> models = {
-        std::begin(experiment::kAllModels),
-        std::end(experiment::kAllModels)}) {
-  return paper_sweep({}, std::move(models), ablation);
-}
-
-/// Mean of a metric over every lambda for one model (Table 5 style).
-inline double average(std::span<const experiment::SweepPoint> points,
-                      experiment::SystemModel model,
-                      experiment::Metric metric) {
-  double sum = 0.0;
-  int count = 0;
-  for (const auto& p : points) {
-    if (p.model != model) continue;
-    sum += experiment::value_of(p.metrics, metric);
-    ++count;
-  }
-  return count == 0 ? 0.0 : sum / count;
-}
-
-/// Metric value at one (model, lambda) point.
-inline double at(std::span<const experiment::SweepPoint> points,
-                 experiment::SystemModel model, double lambda,
-                 experiment::Metric metric) {
-  for (const auto& p : points) {
-    if (p.model == model && p.lambda == lambda) {
-      return experiment::value_of(p.metrics, metric);
-    }
-  }
-  return 0.0;
+  return ok;
 }
 
 /// Minimal streaming JSON writer for the machine-readable bench

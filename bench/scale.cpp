@@ -439,13 +439,11 @@ int main() {
   bench::check(bytes_flat,
                "fanout bytes/node is flat-or-falling across decades "
                "(dense NodeTable, no per-node heap nodes)");
+  bool every_spoke = true;
   for (const auto& m : fanout) {
-    if (m.delivered !=
-        m.nodes * m.rounds) {
-      bench::check(false, "every multicast round reached every spoke");
-      break;
-    }
+    every_spoke = every_spoke && m.delivered == m.nodes * m.rounds;
   }
+  bench::check(every_spoke, "every multicast round reached every spoke");
 
   // Interest-scoping correctness: exactly the subscribers receive, and
   // every other spoke is accounted as skipped.
@@ -489,5 +487,5 @@ int main() {
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
-  return (bytes_flat && scoped_exact) ? 0 : 1;
+  return (bytes_flat && every_spoke && scoped_exact) ? 0 : 1;
 }

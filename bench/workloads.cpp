@@ -9,7 +9,7 @@
 // Artifacts: BENCH_workloads.json (override with SDCM_BENCH_JSON), with
 // per-workload events/sec and drop counters for tools/bench_compare.py.
 // SDCM_BENCH_SMOKE shrinks the grid for CI; SDCM_RUNS overrides the runs
-// per point.
+// per point. Exits 1 when a claim DIFFs.
 
 #include <cstdint>
 #include <cstdlib>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "sdcm/experiment/sweep.hpp"
 #include "sdcm/experiment/workload.hpp"
 
 using namespace sdcm;
@@ -117,13 +118,16 @@ int main() {
   const Measured mitigated = measure(base, spec);
   print("mitigated", mitigated);
 
-  bench::check(at_rest.capacity_dropped == 0 && at_rest.capacity_delayed == 0,
-               "the static scenario never touches the capacity path");
-  bench::check(saturation.capacity_delayed > 0,
-               "saturation back-pressure delays burst traffic");
-  bench::check(mitigated.capacity_dropped <= saturation.capacity_dropped,
-               "jittered announce intervals shed the thundering herd "
-               "(fewer capacity drops than the synchronized storm)");
+  const bool at_rest_untouched = bench::check(
+      at_rest.capacity_dropped == 0 && at_rest.capacity_delayed == 0,
+      "the static scenario never touches the capacity path");
+  const bool saturation_delays =
+      bench::check(saturation.capacity_delayed > 0,
+                   "saturation back-pressure delays burst traffic");
+  const bool jitter_helps =
+      bench::check(mitigated.capacity_dropped <= saturation.capacity_dropped,
+                   "jittered announce intervals shed the thundering herd "
+                   "(fewer capacity drops than the synchronized storm)");
 
   const char* json_path = std::getenv("SDCM_BENCH_JSON");
   const std::string path = (json_path != nullptr && *json_path != '\0')
@@ -142,8 +146,7 @@ int main() {
   json.begin("mitigation")
       .field("synchronized_drops", saturation.capacity_dropped)
       .field("jittered_drops", mitigated.capacity_dropped)
-      .field("jitter_helps",
-             mitigated.capacity_dropped <= saturation.capacity_dropped)
+      .field("jitter_helps", jitter_helps)
       .end();
   json.end();
   if (!json.write_file(path)) {
@@ -151,5 +154,5 @@ int main() {
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
-  return 0;
+  return (at_rest_untouched && saturation_delays && jitter_helps) ? 0 : 1;
 }

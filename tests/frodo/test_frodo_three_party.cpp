@@ -286,15 +286,13 @@ TEST_F(ThreePartyFixture, LateUserIsNotifiedOfExistingRegistration) {
 }
 
 TEST_F(ThreePartyFixture, TechniquesMatchTable2) {
-  const auto t = FrodoRegistryNode::techniques();
-  for (const auto technique :
-       {discovery::RecoveryTechnique::kSRN1, discovery::RecoveryTechnique::kSRN2,
-        discovery::RecoveryTechnique::kSRC1, discovery::RecoveryTechnique::kSRC2,
-        discovery::RecoveryTechnique::kPR1, discovery::RecoveryTechnique::kPR3,
-        discovery::RecoveryTechnique::kPR4, discovery::RecoveryTechnique::kPR5}) {
-    EXPECT_TRUE(t.contains(technique));
-  }
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kPR2));
+  using discovery::RecoveryTechnique;
+  EXPECT_EQ(FrodoRegistryNode::techniques(),
+            (discovery::TechniqueSet{
+                RecoveryTechnique::kSRN1, RecoveryTechnique::kSRN2,
+                RecoveryTechnique::kSRC1, RecoveryTechnique::kSRC2,
+                RecoveryTechnique::kPR1, RecoveryTechnique::kPR3,
+                RecoveryTechnique::kPR4, RecoveryTechnique::kPR5}));
 }
 
 }  // namespace

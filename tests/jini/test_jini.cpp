@@ -145,13 +145,12 @@ TEST_F(JiniFixture, LeasesAreRenewedAcrossTheRun) {
 }
 
 TEST_F(JiniFixture, RegistryTechniquesMatchTable2) {
-  const auto t = JiniRegistry::techniques();
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR1));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR2));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR3));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kPR4));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kPR5));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kSRN2));
+  using discovery::RecoveryTechnique;
+  EXPECT_EQ(JiniRegistry::techniques(),
+            (discovery::TechniqueSet{
+                RecoveryTechnique::kSRN1, RecoveryTechnique::kSRC1,
+                RecoveryTechnique::kSRC2, RecoveryTechnique::kPR1,
+                RecoveryTechnique::kPR2, RecoveryTechnique::kPR3}));
 }
 
 TEST_F(JiniFixture, UserIgnoresNonMatchingServices) {

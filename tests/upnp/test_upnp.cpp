@@ -152,13 +152,11 @@ TEST_F(UpnpFixture, SubscriptionExpiresAtManagerWithoutRenewal) {
 }
 
 TEST_F(UpnpFixture, ManagerTechniquesMatchTable2) {
-  const auto t = UpnpManager::techniques();
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kSRC1));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kSRN1));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR4));
-  EXPECT_TRUE(t.contains(discovery::RecoveryTechnique::kPR5));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kSRN2));
-  EXPECT_FALSE(t.contains(discovery::RecoveryTechnique::kPR1));
+  using discovery::RecoveryTechnique;
+  EXPECT_EQ(UpnpManager::techniques(),
+            (discovery::TechniqueSet{
+                RecoveryTechnique::kSRC1, RecoveryTechnique::kSRN1,
+                RecoveryTechnique::kPR4, RecoveryTechnique::kPR5}));
 }
 
 TEST_F(UpnpFixture, UnknownServiceQueriesAreRejected) {

@@ -1,14 +1,10 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "sdcm/discovery/observer.hpp"
@@ -137,7 +133,13 @@ class ConsistencyOracle final : public sim::TraceWriter,
     SimTime start = 0;
     SimTime end = 0;
   };
+  struct Outage {
+    NodeId node = sim::kNoNode;
+    std::uint8_t direction = 0;  // 0 = tx, 1 = rx
+    Interval interval;
+  };
   struct SpanMeta {
+    SpanId span = sim::kNoSpan;
     SimTime at = 0;
     bool from_change = false;
   };
@@ -151,6 +153,10 @@ class ConsistencyOracle final : public sim::TraceWriter,
   void check_interface(NodeId node, bool direction_is_tx, bool up,
                        SimTime at, std::string_view what);
   void note_change(discovery::ServiceVersion version, SimTime at);
+  [[nodiscard]] bool known_version(discovery::ServiceVersion version) const;
+  [[nodiscard]] bool departed_by(NodeId node) const;
+  [[nodiscard]] const SpanMeta* find_span(SpanId span) const;
+  void note_span(const SpanMeta& meta);
 
   // Observer hook handlers.
   void on_user_version(NodeId user, discovery::ServiceVersion version,
@@ -166,19 +172,31 @@ class ConsistencyOracle final : public sim::TraceWriter,
   OracleReport report_;
   SimTime deadline_ = 0;
 
+  // Per-run state lives in vectors that begin_run() clears but keeps the
+  // capacity of, so a campaign worker's oracle stops allocating after
+  // its first run.
+
   // Fault plan, armed.
   bool armed_ = false;
   SimTime last_episode_end_ = 0;
-  /// Merged closed outage intervals, per node, [0] = tx, [1] = rx.
-  std::map<NodeId, std::array<std::vector<Interval>, 2>> outages_;
+  /// Merged closed outage intervals, sorted by (node, direction, start).
+  std::vector<Outage> outages_;
+  /// Dense by NodeId: the intervals of (node, d) are outages_[i] for
+  /// outage_index_[2 * node + d] <= i < outage_index_[2 * node + d + 1];
+  /// nodes past the end have none. Probed on every wire send and arrival.
+  std::vector<std::uint32_t> outage_index_;
   std::vector<NodeId> users_;
-  /// Permanent workload leavers, exempt from convergence.
+  /// Permanent workload leavers, exempt from convergence; sorted.
   std::vector<NodeId> departed_;
 
   // Causality state.
   SpanId last_span_ = sim::kNoSpan;
-  std::unordered_map<SpanId, SpanMeta> spans_;
-  std::unordered_set<discovery::ServiceVersion> known_versions_;
+  /// Every recorded span, sorted by id. A run's ids are 1, 2, 3, ..., so
+  /// span s sits at index s - 1 and a parent lookup is one indexed load;
+  /// hand-built streams with gaps or huge ids fall back to a binary
+  /// search, so memory stays proportional to the records seen.
+  std::vector<SpanMeta> spans_;
+  std::vector<discovery::ServiceVersion> known_versions_;
   discovery::ServiceVersion latest_change_ = 0;
 
   // Monotonicity / convergence state.

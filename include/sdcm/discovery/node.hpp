@@ -67,17 +67,9 @@ class Node : public net::MessageSink {
   /// Records a trace event at this node, parented to the ambient span
   /// (the message being handled, if any). Returns the new span id so the
   /// caller can stamp outgoing messages or child records with it.
-  sim::SpanId trace(sim::TraceCategory category, std::string event,
-                    std::string detail = {}) {
-    return sim_.trace().record(sim_.now(), id_, category, std::move(event),
-                               std::move(detail));
-  }
-
-  /// Same, with an explicit causal parent.
-  sim::SpanId trace_child(sim::SpanId parent, sim::TraceCategory category,
-                          std::string event, std::string detail = {}) {
-    return sim_.trace().record_child(parent, sim_.now(), id_, category,
-                                     std::move(event), std::move(detail));
+  sim::SpanId trace(sim::TraceCategory category, sim::Atom event,
+                    const sim::TraceDetail& detail = {}) {
+    return sim_.trace().record(sim_.now(), id_, category, event, detail);
   }
 
   /// Builds an outgoing message stamped with this node as the source.

@@ -53,6 +53,7 @@ class ConsistencyObserver {
   void notification_sent(NodeId holder, NodeId user, ServiceVersion version,
                          sim::SimTime at);
 
+  /// Tracked users in track_user order.
   [[nodiscard]] const std::vector<NodeId>& users() const noexcept {
     return users_;
   }
@@ -86,7 +87,12 @@ class ConsistencyObserver {
       on_notification_sent;
 
  private:
+  /// Whether `user` is tracked: O(1), however many users are.
+  [[nodiscard]] bool tracks(NodeId user) const noexcept;
+
   std::vector<NodeId> users_;
+  /// Membership of users_, dense by NodeId (ids are small and dense).
+  std::vector<bool> tracked_;
   std::map<ServiceVersion, sim::SimTime> changes_;
   std::map<std::pair<NodeId, ServiceVersion>, sim::SimTime> reached_;
 };

@@ -12,7 +12,8 @@ namespace sdcm::frodo {
 /// service is changing frequently ("hot"), push data once it has settled.
 /// The paper notes no discovery protocol implements the adaptive mode
 /// "due to the complexity in implementation"; it is provided here as an
-/// extension, studied in bench/adaptive_push.
+/// extension, studied in the sdcm_paper row "Adaptive push"
+/// (bench/paper.cpp).
 enum class UpdatePropagation : std::uint8_t {
   kData,
   kInvalidation,

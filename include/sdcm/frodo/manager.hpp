@@ -77,7 +77,7 @@ class FrodoManager : public FrodoClient {
   void handle_subscription_request(const net::Message& msg);
   void handle_subscription_renew(const net::Message& msg);
   void handle_update_request(const net::Message& msg);
-  void purge_subscriber(ServiceId service, NodeId user, const char* reason);
+  void purge_subscriber(ServiceId service, NodeId user, sim::Atom why);
   void arm_subscription_expiry(ServiceId service, NodeId user);
 
   struct ServiceState {

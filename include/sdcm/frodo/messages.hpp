@@ -9,6 +9,7 @@
 #include "sdcm/discovery/service.hpp"
 #include "sdcm/frodo/device.hpp"
 #include "sdcm/sim/time.hpp"
+#include "sdcm/sim/trace.hpp"
 
 /// Message payloads of the FRODO model. All transport is UDP (Table 3);
 /// reliability is protocol-level: *selected* messages carry a token and
@@ -58,6 +59,61 @@ inline const net::MessageType kUpdateHistory = net::MessageType::intern("frodo.u
 // Generic control-plane ack
 inline const net::MessageType kAck = net::MessageType::intern("frodo.ack");
 }  // namespace msg
+
+/// Trace tags of the FRODO model and how each renders its detail.
+namespace tag {
+namespace slot = sim::trace_slot;
+using sim::TraceRole;
+using sim::TraceTag;
+// Discovery, registration and election
+inline const TraceTag kManagerDepart{"frodo.manager.depart", {}};
+inline const TraceTag kRegisterTx{"frodo.register.tx", {slot::kService, slot::kVersion}};
+inline const TraceTag kRegisterFailed{"frodo.register.failed", {slot::kService}};
+inline const TraceTag kRegistered{"frodo.registered", {slot::kService, slot::kVersion, slot::kFlag}};
+inline const TraceTag kManagerDiscovered{"frodo.manager.discovered", {slot::peer("manager"), slot::reason("class")}};
+inline const TraceTag kManagerPurged{"frodo.manager.purged", {slot::kFlag}, TraceRole::kVersionReset};
+inline const TraceTag kCentralDiscovered{"frodo.central.discovered", {slot::peer("central")}};
+inline const TraceTag kCentralSwitched{"frodo.central.switched", {slot::peer("central"), slot::kEpoch}};
+inline const TraceTag kCentralLost{"frodo.central.lost", {slot::peer("central")}};
+inline const TraceTag kCentralElected{"frodo.central.elected", {slot::kEpoch}};
+inline const TraceTag kCentralDemoted{"frodo.central.demoted", {slot::peer("to")}};
+inline const TraceTag kBackupTakeover{"frodo.backup.takeover", {slot::duration("silence")}};
+inline const TraceTag kStandbyReelection{"frodo.standby.reelection", {}};
+inline const TraceTag kBackupAssigned{"frodo.backup.assigned", {slot::peer("backup")}};
+inline const TraceTag kBackupAccepted{"frodo.backup.accepted", {slot::peer("central")}};
+inline const TraceTag kRegistrationPurged{"frodo.registration.purged", {slot::kService}};
+// Subscription
+inline const TraceTag kSubscribeTx{"frodo.subscribe.tx", {slot::peer("to")}};
+inline const TraceTag kSubscribed{"frodo.subscribed", {slot::peer("user"), slot::reason("mode")}};
+inline const TraceTag kResubscribing{"frodo.resubscribing", {}};
+inline const TraceTag kResubscribeRequest{"frodo.resubscribe.request", {slot::peer("user")}};
+inline const TraceTag kSubscriberPurged{"frodo.subscriber.purged", {slot::peer("user"), slot::reason("reason")}};
+inline const TraceTag kSubscriptionPurged{"frodo.subscription.purged", {slot::peer("user")}};
+// Updates and recovery
+inline const TraceTag kServiceChanged{"frodo.service_changed", {slot::kService, slot::kVersion}, TraceRole::kServiceChanged};
+inline const TraceTag kUpdateTx{"frodo.update.tx", {slot::peer("user"), slot::kVersion, slot::kFlag}};
+inline const TraceTag kUpdateStored{"frodo.update.stored", {slot::kService, slot::kVersion}};
+inline const TraceTag kUpdateCentralRetry{"frodo.update.central_retry", {slot::kService}};
+inline const TraceTag kUpdateCentralFailed{"frodo.update.central_failed", {slot::kService}};
+inline const TraceTag kNotifyTx{"frodo.notify.tx", {slot::peer("user"), slot::kVersion}};
+inline const TraceTag kSrn2Marked{"frodo.srn2.marked", {slot::peer("user")}};
+inline const TraceTag kSrn2Retry{"frodo.srn2.retry", {slot::peer("user")}};
+inline const TraceTag kDescriptionStored{"frodo.description.stored", {slot::kVersion}};
+inline const TraceTag kInvalidationFetch{"frodo.invalidation.fetch", {slot::kFromVersion}};
+inline const TraceTag kSrc2Request{"frodo.src2.request", {slot::kFromVersion}};
+}  // namespace tag
+
+/// Reason and flag words carried by FRODO trace records.
+namespace reason {
+inline const sim::Atom kNew = sim::Atom::intern("new");
+inline const sim::Atom kRefresh = sim::Atom::intern("refresh");
+inline const sim::Atom kInvalidation = sim::Atom::intern("invalidation");
+inline const sim::Atom kTwoParty = sim::Atom::intern("2-party");
+inline const sim::Atom kThreeParty = sim::Atom::intern("3-party");
+inline const sim::Atom kExpired = sim::Atom::intern("expired");
+inline const sim::Atom kDepart = sim::Atom::intern("depart");
+inline const sim::Atom kRegistryPurged = sim::Atom::intern("registry-purged");
+}  // namespace reason
 
 struct Matching {
   std::string device_type;

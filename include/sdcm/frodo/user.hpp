@@ -77,7 +77,7 @@ class FrodoUser : public FrodoClient {
   void subscribe();
   void send_renewal();
   void schedule_renewal(sim::SimDuration delay);
-  void purge_manager(const char* reason);
+  void purge_manager(sim::Atom why);
 
   Matching requirement_;
   discovery::ConsistencyObserver* observer_;

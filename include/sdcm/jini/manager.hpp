@@ -56,7 +56,7 @@ class JiniManager : public discovery::Node {
   multicast_interests() const override;
   void send_discovery_request();
   void registry_heard(NodeId registry);
-  void purge_registry(NodeId registry, const char* reason);
+  void purge_registry(NodeId registry, sim::Atom why);
   void register_service(NodeId registry, discovery::ServiceId service);
   void renew_registration(NodeId registry, discovery::ServiceId service);
   void handle_register_response(const net::Message& msg);

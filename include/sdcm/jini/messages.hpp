@@ -6,6 +6,7 @@
 #include "sdcm/net/message_type.hpp"
 #include "sdcm/discovery/service.hpp"
 #include "sdcm/sim/time.hpp"
+#include "sdcm/sim/trace.hpp"
 
 /// Message payloads of the Jini model (3-party subscription). Structure
 /// follows the NIST model the paper reproduces: multicast announcement +
@@ -44,6 +45,48 @@ inline const net::MessageType kRenewEventResponse = net::MessageType::intern("ji
 /// Remote event delivering the (re)registered service description.
 inline const net::MessageType kRemoteEvent = net::MessageType::intern("jini.remote_event");
 }  // namespace msg
+
+/// Trace tags of the Jini model and how each renders its detail.
+namespace tag {
+namespace slot = sim::trace_slot;
+using sim::TraceRole;
+using sim::TraceTag;
+// Lookup service
+inline const TraceTag kAnnounce{"jini.announce", {}};
+inline const TraceTag kRegistered{"jini.registered", {slot::kService, slot::kVersion, slot::kFlag}};
+inline const TraceTag kRegistrationPurged{"jini.registration.purged", {slot::kService}};
+inline const TraceTag kEventRegistered{"jini.event_registered", {slot::peer("user")}};
+inline const TraceTag kRenewEventUnknown{"jini.renew_event.unknown", {slot::peer("user")}};
+inline const TraceTag kEventTx{"jini.event.tx", {slot::peer("user"), slot::kVersion}};
+inline const TraceTag kEventRex{"jini.event.rex", {slot::peer("user")}};
+inline const TraceTag kEventPurged{"jini.event.purged", {slot::peer("user")}};
+// Manager and User
+inline const TraceTag kRegistryDiscovered{"jini.registry.discovered", {slot::peer("registry")}};
+inline const TraceTag kRegistryPurged{"jini.registry.purged", {slot::peer("registry"), slot::reason("reason")}};
+inline const TraceTag kManagerDepart{"jini.manager.depart", {}};
+inline const TraceTag kUserDepart{"jini.user.depart", {}};
+inline const TraceTag kServiceChanged{"jini.service_changed", {slot::kService, slot::kVersion}, TraceRole::kServiceChanged};
+inline const TraceTag kRegisterTx{"jini.register.tx", {slot::peer("registry"), slot::kVersion}};
+inline const TraceTag kRenewLapsed{"jini.renew.lapsed", {slot::peer("registry")}};
+inline const TraceTag kLookupTx{"jini.lookup.tx", {slot::peer("registry")}};
+inline const TraceTag kEventLapsed{"jini.event.lapsed", {slot::peer("registry")}};
+inline const TraceTag kEventRx{"jini.event.rx", {slot::kVersion}};
+inline const TraceTag kDescriptionStored{"jini.description.stored", {slot::kVersion}};
+}  // namespace tag
+
+/// Reason and flag words carried by Jini trace records.
+namespace reason {
+inline const sim::Atom kNew = sim::Atom::intern("new");
+inline const sim::Atom kRenewal = sim::Atom::intern("renewal");
+inline const sim::Atom kSilent = sim::Atom::intern("silent");
+inline const sim::Atom kDepart = sim::Atom::intern("depart");
+inline const sim::Atom kRegisterRex = sim::Atom::intern("register-rex");
+inline const sim::Atom kRenewRex = sim::Atom::intern("renew-rex");
+inline const sim::Atom kEventRegisterRex = sim::Atom::intern("event-register-rex");
+inline const sim::Atom kLookupRex = sim::Atom::intern("lookup-rex");
+inline const sim::Atom kRenewEventRex = sim::Atom::intern("renew-event-rex");
+inline const sim::Atom kEventLapsed = sim::Atom::intern("event-lapsed");
+}  // namespace reason
 
 /// Matching template for lookups and event registrations.
 struct Template {

@@ -54,7 +54,7 @@ class JiniUser : public discovery::Node {
   multicast_interests() const override;
   void send_discovery_request();
   void registry_heard(NodeId registry);
-  void purge_registry(NodeId registry, const char* reason);
+  void purge_registry(NodeId registry, sim::Atom why);
   void register_event(NodeId registry);
   void send_lookup(NodeId registry);
   void renew_event(NodeId registry);

@@ -32,6 +32,7 @@
 #include "sdcm/discovery/protocol.hpp"
 #include "sdcm/discovery/service.hpp"
 #include "sdcm/sim/simulator.hpp"
+#include "sdcm/sim/trace.hpp"
 
 namespace sdcm::mdns {
 
@@ -43,6 +44,28 @@ inline const net::MessageType kAnnounce = net::MessageType::intern("mdns.announc
 inline const net::MessageType kQuery = net::MessageType::intern("mdns.query");
 inline const net::MessageType kGoodbye = net::MessageType::intern("mdns.goodbye");
 }  // namespace msg
+
+/// Trace tags of the mDNS model and how each renders its detail.
+namespace tag {
+namespace slot = sim::trace_slot;
+using sim::TraceRole;
+using sim::TraceTag;
+inline const TraceTag kShutdown{"mdns.shutdown", {}};
+inline const TraceTag kResponderDepart{"mdns.responder.depart", {}};
+inline const TraceTag kServiceChanged{"mdns.service_changed", {slot::kService, slot::kVersion}, TraceRole::kServiceChanged};
+inline const TraceTag kUpdateTx{"mdns.update.tx", {slot::kService, slot::kVersion}};
+inline const TraceTag kAnnounceTx{"mdns.announce.tx", {slot::kService, slot::kVersion}};
+inline const TraceTag kListenerDepart{"mdns.listener.depart", {}};
+inline const TraceTag kQueryTx{"mdns.query.tx", {}};
+inline const TraceTag kRecordStored{"mdns.record.stored", {slot::kService, slot::kVersion}};
+inline const TraceTag kRecordPurged{"mdns.record.purged", {slot::kFlag}};
+}  // namespace tag
+
+/// Reason words carried by mDNS trace records.
+namespace reason {
+inline const sim::Atom kGoodbye = sim::Atom::intern("goodbye");
+inline const sim::Atom kTtlExpired = sim::Atom::intern("ttl-expired");
+}  // namespace reason
 
 struct MdnsConfig {
   /// Jittered announcement period: each interval is drawn uniformly from
@@ -162,7 +185,7 @@ class MdnsListener : public discovery::Node {
   void handle_announce(const net::Message& m);
   void send_query();
   void refresh_ttl();
-  void purge(const char* reason);
+  void purge(sim::Atom why);
 
   Interest interest_;
   MdnsConfig config_;

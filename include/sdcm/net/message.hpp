@@ -72,7 +72,7 @@ struct Message {
   /// Approximate wire size. 0 = use the class default (kDefaultBytes);
   /// protocols set it explicitly where the distinction carries meaning -
   /// e.g. a 64-byte invalidation vs a full description push (the Alex
-  /// adaptive-propagation study in bench/adaptive_push).
+  /// adaptive-propagation study, the sdcm_paper row "Adaptive push").
   std::size_t bytes = 0;
   /// Set on delivery when the message arrived over a TCP connection, so
   /// the receiver can reply on the same connection (request/response).

@@ -1,101 +1,15 @@
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
-#include <string_view>
+#include "sdcm/sim/atom.hpp"
 
 namespace sdcm::net {
 
-/// Interned message-type atom. The hot path used to carry a
+/// A message's type: an interned atom. The hot path used to carry a
 /// `std::string type` in every Message - one heap string per envelope,
-/// copied once per wire copy and once more per multicast delivery. A
-/// MessageType is a 4-byte handle into a process-wide append-only atom
-/// table: construction from a literal happens once at static-init time
-/// (the per-module msg:: constants), after which every send, deliver,
-/// counter bump and comparison is integer work.
-///
-/// Atom id 0 is the empty type "" (a default-constructed Message), so a
-/// MessageType is always valid to read back.
-class MessageType {
- public:
-  using Id = std::uint32_t;
-
-  /// The empty atom "".
-  constexpr MessageType() noexcept = default;
-
-  /// Interns `name` (idempotent) and returns its atom. Thread-safe;
-  /// intended for static-init of the msg:: constants and for tests that
-  /// mint ad-hoc types. Throws std::length_error if the table is full
-  /// (kMaxAtoms) - message vocabularies are small by design.
-  static MessageType intern(std::string_view name);
-
-  /// The atom for `name` if it was ever interned; nullopt otherwise.
-  /// Never creates - this is the query path for counters keyed on names
-  /// that may belong to no registered protocol.
-  static std::optional<MessageType> lookup(std::string_view name) noexcept;
-
-  /// Number of atoms interned so far (including the empty atom). Dense:
-  /// every id below count() is valid.
-  static Id count() noexcept;
-
-  /// The atom with the given dense id. Precondition: id < count().
-  /// Used by report tooling iterating the per-type counter array.
-  static MessageType at(Id id) noexcept {
-    return MessageType{id};
-  }
-
-  /// The interned spelling. Lock-free: atom storage is pre-reserved and
-  /// append-only, so the returned view stays valid for the process
-  /// lifetime.
-  [[nodiscard]] std::string_view str() const noexcept;
-
-  [[nodiscard]] constexpr Id id() const noexcept { return id_; }
-  [[nodiscard]] constexpr bool empty() const noexcept { return id_ == 0; }
-
-  friend constexpr bool operator==(MessageType a, MessageType b) noexcept {
-    return a.id_ == b.id_;
-  }
-  friend constexpr bool operator!=(MessageType a, MessageType b) noexcept {
-    return a.id_ != b.id_;
-  }
-  /// Orders by atom id (interning order), NOT lexicographically; callers
-  /// that need name order (deterministic reports) sort by str().
-  friend constexpr bool operator<(MessageType a, MessageType b) noexcept {
-    return a.id_ < b.id_;
-  }
-
-  // Spelling comparisons, for tests and diagnostics. Atom-to-atom
-  // compares above stay the hot path.
-  friend bool operator==(MessageType a, std::string_view b) noexcept {
-    return a.str() == b;
-  }
-  friend bool operator==(std::string_view a, MessageType b) noexcept {
-    return a == b.str();
-  }
-  friend bool operator!=(MessageType a, std::string_view b) noexcept {
-    return a.str() != b;
-  }
-  friend bool operator!=(std::string_view a, MessageType b) noexcept {
-    return a != b.str();
-  }
-
-  /// Hard cap on distinct atoms. Storage is reserved up front so str()
-  /// never races a reallocation; ~4k distinct message types is two
-  /// orders of magnitude above the whole protocol family's vocabulary.
-  static constexpr Id kMaxAtoms = 4096;
-
- private:
-  constexpr explicit MessageType(Id id) noexcept : id_(id) {}
-
-  Id id_ = 0;
-};
+/// copied once per wire copy and once more per multicast delivery; as an
+/// atom it is a 4-byte handle, and every send, deliver, counter bump and
+/// comparison is integer work. Message types share sim::Atom's id space
+/// with trace tags and profiler sites (DESIGN.md section 13.1).
+using MessageType = sim::Atom;
 
 }  // namespace sdcm::net
-
-template <>
-struct std::hash<sdcm::net::MessageType> {
-  std::size_t operator()(sdcm::net::MessageType t) const noexcept {
-    return std::hash<sdcm::net::MessageType::Id>{}(t.id());
-  }
-};

@@ -13,8 +13,25 @@
 #include "sdcm/net/message.hpp"
 #include "sdcm/obs/registry.hpp"
 #include "sdcm/sim/simulator.hpp"
+#include "sdcm/sim/trace.hpp"
 
 namespace sdcm::net {
+
+/// Trace tags of the network layer and how each renders its detail.
+namespace tag {
+namespace slot = sim::trace_slot;
+using sim::TraceTag;
+/// A wire copy or delivery the network dropped; the detail is the
+/// message's type.
+inline const TraceTag kDropTx{"net.drop.tx", {slot::kType}};
+inline const TraceTag kDropRx{"net.drop.rx", {slot::kType}};
+inline const TraceTag kDropCapacity{"net.drop.capacity", {slot::kType}};
+inline const TraceTag kTcpRex{"tcp.rex", {slot::peer("to")}};
+/// A planned failure episode flipped an interface; the detail is the
+/// episode's FailureMode.
+inline const TraceTag kInterfaceDown{"interface.down", {slot::kFlag}};
+inline const TraceTag kInterfaceUp{"interface.up", {slot::kFlag}};
+}  // namespace tag
 
 /// Out-of-band observer of every interface consultation the network
 /// makes: one on_send per wire copy, with the transmitter state the

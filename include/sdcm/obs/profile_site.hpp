@@ -2,23 +2,20 @@
 
 #include <cstdint>
 
-#include "sdcm/net/message_type.hpp"
 #include "sdcm/obs/profiler.hpp"
+#include "sdcm/sim/atom.hpp"
 #include "sdcm/sim/simulator.hpp"
 
 /// Attribution-site labels for the wall-clock profiler.
 ///
-/// Sites share net::MessageType's interned atom table: a network
-/// delivery attributes its message-type atom directly, while timer
-/// callbacks and experiment phases intern "timer.<module>.<what>" /
-/// "phase.<what>" labels into the same id space. Interning happens
-/// once per call site (function-local static), so steady-state cost is
-/// one inline store into the run's Profiler - and in default builds
-/// (SDCM_PROFILE=OFF) the macros expand to nothing.
-///
-/// This header pulls in net/message_type.hpp and must therefore stay
-/// out of the sim kernel (sdcm_sim does not depend on sdcm_net); sim
-/// only ever sees raw site ids.
+/// Sites share sim::Atom's interned table with message types and trace
+/// tags: a network delivery attributes its message-type atom directly,
+/// while timer callbacks and experiment phases intern
+/// "timer.<module>.<what>" / "phase.<what>" labels into the same id
+/// space. Interning happens once per call site (function-local static),
+/// so steady-state cost is one inline store into the run's Profiler -
+/// and in default builds (SDCM_PROFILE=OFF) the macros expand to
+/// nothing. The kernel itself only ever sees raw site ids.
 
 #if SDCM_PROFILE_ENABLED
 
@@ -27,7 +24,7 @@
 #define SDCM_PROFILE_SITE(sim, name)                            \
   do {                                                          \
     static const std::uint32_t sdcm_profile_site_id_ =          \
-        ::sdcm::net::MessageType::intern(name).id();            \
+        ::sdcm::obs::profile_site_id(name);                     \
     (sim).profile_attribute(sdcm_profile_site_id_);             \
   } while (0)
 
@@ -36,7 +33,7 @@
 #define SDCM_PROFILE_TIMER(timer, name)                         \
   do {                                                          \
     static const std::uint32_t sdcm_profile_site_id_ =          \
-        ::sdcm::net::MessageType::intern(name).id();            \
+        ::sdcm::obs::profile_site_id(name);                     \
     (timer).set_profile_site(sdcm_profile_site_id_);            \
   } while (0)
 
@@ -57,7 +54,7 @@ namespace sdcm::obs {
 /// phase timers are not compile-gated). Returns the site id to pass to
 /// Profiler::phase_record / PhaseScope.
 inline std::uint32_t profile_site_id(const char* name) {
-  return net::MessageType::intern(name).id();
+  return sim::Atom::intern(name).id();
 }
 
 }  // namespace sdcm::obs

@@ -115,10 +115,9 @@ struct RunProfile {
 /// phase timers ("phase.topology_build", ...) with memory watermarks
 /// sampled at each phase end; PhaseScope is the RAII wrapper.
 ///
-/// Site ids are net::MessageType atom ids; this header stays
-/// independent of net (ids are plain integers here) so the sim kernel
-/// can instrument without a link cycle - name resolution happens in
-/// snapshot(), implemented in src/obs/profiler.cpp.
+/// Site ids are sim::Atom ids, held here as plain integers - name
+/// resolution happens in snapshot(), implemented in
+/// src/obs/profiler.cpp.
 class Profiler {
  public:
   Profiler() = default;
@@ -196,14 +195,17 @@ class Profiler {
     std::vector<std::uint64_t> bucket_counts;
   };
   struct Phase {
+    std::uint32_t site = 0;
     std::uint64_t count = 0;
     std::uint64_t total_ns = 0;
     std::uint64_t peak_rss_kb = 0;
     std::uint64_t heap_bytes = 0;
   };
 
-  std::vector<Site> sites_;    // dense, indexed by atom id
-  std::vector<Phase> phases_;  // dense, indexed by atom id
+  std::vector<Site> sites_;  // dense, indexed by atom id
+  /// A run times a handful of phases, whose sites are interned after the
+  /// whole static vocabulary: a short list beats a table dense by id.
+  std::vector<Phase> phases_;
   std::uint32_t current_ = 0;
   Clock::time_point mark_{};
   Clock::time_point loop_start_{};

@@ -14,12 +14,15 @@ namespace sdcm::obs {
 ///   {"at":123,"node":10,"category":"update","span":5,"parent":2,
 ///    "event":"frodo.update.tx","detail":"user=11"}
 /// Integers are decimal, strings escape only '"' and '\' - the same
-/// exact-round-trip discipline as the campaign JsonlSink.
+/// exact-round-trip discipline as the campaign JsonlSink. "detail" is
+/// the typed detail rendered by its tag (sim::append_detail_text).
 std::string trace_record_to_jsonl(const sim::TraceRecord& record);
 
-/// Parses one line written by trace_record_to_jsonl. Returns
-/// std::nullopt with a message on `error` for malformed lines or
-/// unknown category names.
+/// Parses one line written by trace_record_to_jsonl, interning the event
+/// name and parsing the detail text back into typed fields by the tag's
+/// row (sim::parse_detail_text). Returns std::nullopt with a message on
+/// `error` for malformed lines, unknown category names, or detail text
+/// the tag would not render.
 std::optional<sim::TraceRecord> parse_trace_record(std::string_view line,
                                                    std::string& error);
 
@@ -27,6 +30,8 @@ std::optional<sim::TraceRecord> parse_trace_record(std::string_view line,
 /// line, flushing only when the stream does. Attach with
 /// TraceLog::set_writer (or ExperimentConfig::trace_writer); safe to use
 /// with in-memory storage off, which is the campaign streaming mode.
+/// Each line is rendered with std::to_chars into buffers the writer
+/// reuses, so steady-state writing allocates nothing.
 class JsonlTraceWriter final : public sim::TraceWriter {
  public:
   explicit JsonlTraceWriter(std::ostream& out) : out_(out) {}
@@ -40,6 +45,8 @@ class JsonlTraceWriter final : public sim::TraceWriter {
 
  private:
   std::ostream& out_;
+  std::string line_;
+  std::string detail_;
   std::uint64_t records_ = 0;
   std::uint64_t bytes_ = 0;
 };

@@ -1,13 +1,19 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "sdcm/sim/atom.hpp"
 #include "sdcm/sim/kernel_stats.hpp"
 #include "sdcm/sim/time.hpp"
 
@@ -46,6 +52,207 @@ std::string_view to_string(TraceCategory c) noexcept;
 /// JSONL trace parser, which must reject rather than guess).
 std::optional<TraceCategory> category_from_string(std::string_view s) noexcept;
 
+/// The typed fields a trace record's detail can carry. Each renders as
+/// one token of the record's detail text (see TraceTag).
+enum class TraceField : std::uint8_t {
+  kPeer,         // the other node: user=, to=, manager=, central=, ...
+  kService,      // service=
+  kVersion,      // version=: the service version the record is about
+  kFromVersion,  // from=: the first version a fetch or SRC2 request asks for
+  kEpoch,        // epoch=: a FRODO election epoch
+  kDuration,     // a span of simulated time, rendered as format_time does
+  kReason,       // an atom: why (reason=, class=, mode=) or a bare flag word
+  kType,         // the message type of a net.drop.* record
+};
+
+/// A trace record's detail: a small fixed set of typed fields, each
+/// present or absent. Trace sites fill it directly with chained setters,
+///   TraceDetail{}.peer(user).version(sd.version)
+/// so building one is a few stores: a run with recording off formats
+/// nothing, and a recorded run allocates nothing per record. The getters
+/// return nullopt (the empty atom for atom fields) when a field is
+/// absent. Text exists only at the edges, where the record's tag renders
+/// it (append_detail_text).
+class TraceDetail {
+ public:
+  TraceDetail& peer(NodeId v) noexcept {
+    return put(TraceField::kPeer, peer_, v);
+  }
+  TraceDetail& service(std::uint32_t v) noexcept {
+    return put(TraceField::kService, service_, v);
+  }
+  TraceDetail& version(std::uint32_t v) noexcept {
+    return put(TraceField::kVersion, version_, v);
+  }
+  TraceDetail& from_version(std::uint32_t v) noexcept {
+    return put(TraceField::kFromVersion, from_version_, v);
+  }
+  TraceDetail& epoch(std::uint64_t v) noexcept {
+    return put(TraceField::kEpoch, epoch_, v);
+  }
+  TraceDetail& duration(SimDuration v) noexcept {
+    return put(TraceField::kDuration, duration_, v);
+  }
+  TraceDetail& reason(Atom v) noexcept {
+    return put(TraceField::kReason, reason_, v);
+  }
+  TraceDetail& type(Atom v) noexcept {
+    return put(TraceField::kType, type_, v);
+  }
+
+  [[nodiscard]] std::optional<NodeId> peer() const noexcept {
+    return get(TraceField::kPeer, peer_);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> service() const noexcept {
+    return get(TraceField::kService, service_);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> version() const noexcept {
+    return get(TraceField::kVersion, version_);
+  }
+  [[nodiscard]] std::optional<std::uint32_t> from_version() const noexcept {
+    return get(TraceField::kFromVersion, from_version_);
+  }
+  [[nodiscard]] std::optional<std::uint64_t> epoch() const noexcept {
+    return get(TraceField::kEpoch, epoch_);
+  }
+  [[nodiscard]] std::optional<SimDuration> duration() const noexcept {
+    return get(TraceField::kDuration, duration_);
+  }
+  [[nodiscard]] Atom reason() const noexcept { return reason_; }
+  [[nodiscard]] Atom type() const noexcept { return type_; }
+
+  [[nodiscard]] bool has(TraceField field) const noexcept {
+    return (fields_ & bit(field)) != 0;
+  }
+
+  friend bool operator==(const TraceDetail&, const TraceDetail&) = default;
+
+ private:
+  static constexpr std::uint16_t bit(TraceField field) noexcept {
+    return static_cast<std::uint16_t>(1u << static_cast<unsigned>(field));
+  }
+  template <typename T>
+  TraceDetail& put(TraceField field, T& slot, T value) noexcept {
+    slot = value;
+    fields_ = static_cast<std::uint16_t>(fields_ | bit(field));
+    return *this;
+  }
+  template <typename T>
+  [[nodiscard]] std::optional<T> get(TraceField field, T value) const noexcept {
+    if (!has(field)) return std::nullopt;
+    return value;
+  }
+
+  std::uint16_t fields_ = 0;  // presence mask, one bit per TraceField
+  NodeId peer_ = kNoNode;
+  std::uint32_t service_ = 0;
+  std::uint32_t version_ = 0;
+  std::uint32_t from_version_ = 0;
+  Atom reason_;
+  Atom type_;
+  std::uint64_t epoch_ = 0;
+  SimDuration duration_ = 0;
+};
+
+/// How one field renders in a tag's detail text: `key=value`, or the
+/// bare value when `key` is empty (a flag word such as "invalidation", a
+/// reason such as "depart", a dropped message's type; bare words hold no
+/// '=' or space). Present fields render in slot order, separated by
+/// single spaces; absent ones vanish.
+struct TraceSlot {
+  TraceField field = TraceField::kPeer;
+  std::string_view key;
+};
+
+/// Slot shorthands for tag declarations.
+namespace trace_slot {
+constexpr TraceSlot peer(std::string_view key) noexcept {
+  return {TraceField::kPeer, key};
+}
+constexpr TraceSlot reason(std::string_view key) noexcept {
+  return {TraceField::kReason, key};
+}
+constexpr TraceSlot duration(std::string_view key) noexcept {
+  return {TraceField::kDuration, key};
+}
+inline constexpr TraceSlot kService{TraceField::kService, "service"};
+inline constexpr TraceSlot kVersion{TraceField::kVersion, "version"};
+inline constexpr TraceSlot kFromVersion{TraceField::kFromVersion, "from"};
+inline constexpr TraceSlot kEpoch{TraceField::kEpoch, "epoch"};
+/// The reason atom as a bare word.
+inline constexpr TraceSlot kFlag{TraceField::kReason, ""};
+/// The message type atom as a bare word.
+inline constexpr TraceSlot kType{TraceField::kType, ""};
+}  // namespace trace_slot
+
+/// What a tag tells a checker about the run. Declared with the tag, so
+/// the oracle and sdcm_logs reason over atoms without knowing any
+/// protocol's vocabulary.
+enum class TraceRole : std::uint8_t {
+  kNone,
+  /// A Manager changed the service: the root of its update fan-out.
+  kServiceChanged,
+  /// A User discarded its version knowledge on purpose and rediscovers,
+  /// so re-learning an older version afterwards is not a regress.
+  kVersionReset,
+  /// A push that exists only because a change happened: it must descend
+  /// from a kServiceChanged record.
+  kChangeNotification,
+};
+
+/// A trace tag: the interned event name plus its row of the per-tag
+/// render table, which turns a TraceDetail into the record's `key=value`
+/// detail text and back. Declare each tag once, at namespace scope (the
+/// registry keeps a pointer to it), as an `inline const` constant next to
+/// its module's msg:: atoms (with `namespace slot = sim::trace_slot`):
+///   inline const TraceTag kUpdateTx{"frodo.update.tx",
+///       {slot::peer("user"), slot::kVersion, slot::kFlag}};
+/// Construction registers the row; declaring the same name again with a
+/// different row throws std::logic_error. A tag converts to its Atom, so
+/// it is passed wherever a record's event is expected. Names that were
+/// never declared render with a generic row: every present field as
+/// `peer=`, `service=`, `version=`, `from=`, `epoch=`, `duration=`,
+/// `reason=`, `type=`, in that order.
+class TraceTag {
+ public:
+  static constexpr std::size_t kMaxSlots = 4;
+
+  TraceTag(std::string_view name, std::initializer_list<TraceSlot> row,
+           TraceRole role = TraceRole::kNone);
+  TraceTag(const TraceTag&) = delete;
+  TraceTag& operator=(const TraceTag&) = delete;
+
+  operator Atom() const noexcept { return atom_; }
+  [[nodiscard]] Atom atom() const noexcept { return atom_; }
+  [[nodiscard]] std::string_view name() const noexcept { return atom_.str(); }
+  [[nodiscard]] TraceRole role() const noexcept { return role_; }
+  [[nodiscard]] std::span<const TraceSlot> slots() const noexcept {
+    return {slots_.data(), size_};
+  }
+
+ private:
+  Atom atom_;
+  TraceRole role_;
+  std::size_t size_ = 0;
+  std::array<TraceSlot, kMaxSlots> slots_{};
+};
+
+/// The role declared for `event`; kNone for undeclared names.
+TraceRole trace_role(Atom event) noexcept;
+
+/// Appends the detail text of a record tagged `event` to `out`, rendered
+/// by the tag's row with std::to_chars. This is the text the fingerprint
+/// hashes and the JSONL export carries (DESIGN.md section 8.3).
+void append_detail_text(std::string& out, Atom event,
+                        const TraceDetail& detail);
+[[nodiscard]] std::string detail_text(Atom event, const TraceDetail& detail);
+
+/// Parses detail text back into fields by the tag's row. Returns false
+/// (leaving `out` unspecified) on text the row would not render: unknown
+/// or out-of-order keys, malformed numbers, or anything that renders
+/// differently (e.g. leading zeros), so a parse always round-trips.
+bool parse_detail_text(Atom event, std::string_view text, TraceDetail& out);
+
 struct TraceRecord {
   SimTime at = 0;
   NodeId node = kNoNode;
@@ -55,8 +262,8 @@ struct TraceRecord {
   /// Causal parent span; kNoSpan marks a root (timer fire, scenario
   /// driver, startup). Always < `span` when set.
   SpanId parent = kNoSpan;
-  std::string event;   // short machine-matchable tag, e.g. "ServiceUpdate.tx"
-  std::string detail;  // free-form context, e.g. "to=3 version=2 try=1"
+  Atom event;          // the tag, e.g. "frodo.update.tx"
+  TraceDetail detail;  // typed context, rendered as e.g. "user=3 version=2"
 };
 
 /// Streaming consumer of trace records (see obs::JsonlTraceWriter).
@@ -107,13 +314,15 @@ class TraceLog {
 
   /// Appends a record parented to the current ambient span (see
   /// SpanScope) and returns its span id; kNoSpan when not recording.
-  SpanId record(SimTime at, NodeId node, TraceCategory category,
-                std::string event, std::string detail = {});
+  SpanId record(SimTime at, NodeId node, TraceCategory category, Atom event,
+                const TraceDetail& detail = {}) {
+    return record_child(ambient_, at, node, category, event, detail);
+  }
 
   /// Appends a record with an explicit causal parent.
   SpanId record_child(SpanId parent, SimTime at, NodeId node,
-                      TraceCategory category, std::string event,
-                      std::string detail = {});
+                      TraceCategory category, Atom event,
+                      const TraceDetail& detail = {});
 
   /// The ambient parent span applied to `record` calls; managed by
   /// SpanScope around message-delivery handlers.
@@ -133,22 +342,31 @@ class TraceLog {
 
   void clear() noexcept;
 
-  /// All records whose event tag equals `event` (exact match). Returns
-  /// copies; prefer for_each_event when only counting or inspecting.
+  /// All records whose event tag is spelled `event`. Returns copies;
+  /// prefer for_each_event when only counting or inspecting.
   [[nodiscard]] std::vector<TraceRecord> with_event(
       std::string_view event) const;
 
   /// Non-allocating visit of every stored record whose event tag equals
-  /// `event` (exact match), in record order.
+  /// `event`, in record order.
   template <typename Fn>
-  void for_each_event(std::string_view event, Fn&& fn) const {
+  void for_each_event(Atom event, Fn&& fn) const {
     for (const TraceRecord& r : records_) {
       if (r.event == event) fn(r);
     }
   }
+  /// The same by spelling (exact match); a name never interned matches
+  /// nothing.
+  template <typename Fn>
+  void for_each_event(std::string_view event, Fn&& fn) const {
+    if (const auto atom = Atom::lookup(event)) {
+      for_each_event(*atom, std::forward<Fn>(fn));
+    }
+  }
 
   /// Number of stored records with event tag `event`.
-  [[nodiscard]] std::size_t count_event(std::string_view event) const {
+  template <typename Event>
+  [[nodiscard]] std::size_t count_event(const Event& event) const {
     std::size_t n = 0;
     for_each_event(event, [&n](const TraceRecord&) { ++n; });
     return n;
@@ -162,16 +380,18 @@ class TraceLog {
   void print(std::ostream& os) const;
 
   /// Order-sensitive FNV-1a hash over every *behavioural* field of every
-  /// record (time, node, category, event, detail), finalized by mixing in
-  /// the record count so a truncated log can never collide with its own
-  /// prefix. Span ids are deliberately excluded: they are derived
-  /// observability metadata, and the golden fingerprints pin simulated
-  /// behaviour, not the causality annotation. Two runs with equal
-  /// fingerprints replayed the same event log; the determinism tests pin
-  /// golden values per (model, seed).
+  /// record (time, node, category, event text, rendered detail text),
+  /// finalized by mixing in the record count so a truncated log can never
+  /// collide with its own prefix. The detail is rendered piecewise into
+  /// the hash, never into a heap buffer. Span ids are deliberately
+  /// excluded: they are derived observability metadata, and the golden
+  /// fingerprints pin simulated behaviour, not the causality annotation.
+  /// Two runs with equal fingerprints replayed the same event log; the
+  /// determinism tests pin golden values per (model, seed).
   [[nodiscard]] std::uint64_t fingerprint() const noexcept;
 
  private:
+  void mix(std::string_view bytes) noexcept;
   void mix(const void* data, std::size_t n) noexcept;
 
   bool recording_ = true;

@@ -20,7 +20,8 @@
 // only freshness mechanism is its periodic SrvRqst (CM2).
 //
 // This module is an extension beyond the paper's five evaluated systems;
-// it is exercised by tests/slp and bench/slp_hybrid.
+// it is exercised by tests/slp and the sdcm_paper row "SLP hybrid"
+// (bench/paper.cpp).
 
 #include <map>
 #include <optional>
@@ -32,6 +33,7 @@
 #include "sdcm/discovery/observer.hpp"
 #include "sdcm/discovery/service.hpp"
 #include "sdcm/sim/simulator.hpp"
+#include "sdcm/sim/trace.hpp"
 
 namespace sdcm::slp {
 
@@ -46,6 +48,18 @@ inline const net::MessageType kSrvRqst = net::MessageType::intern("slp.srvrqst")
 inline const net::MessageType kMulticastSrvRqst = net::MessageType::intern("slp.srvrqst.mc");
 inline const net::MessageType kSrvRply = net::MessageType::intern("slp.srvrply");
 }  // namespace msg
+
+/// Trace tags of the SLP model and how each renders its detail.
+namespace tag {
+namespace slot = sim::trace_slot;
+using sim::TraceRole;
+using sim::TraceTag;
+inline const TraceTag kServiceChanged{"slp.service_changed", {slot::kService, slot::kVersion}, TraceRole::kServiceChanged};
+inline const TraceTag kRegistrationPurged{"slp.registration.purged", {slot::kService}};
+inline const TraceTag kDaDiscovered{"slp.da.discovered", {slot::peer("da")}};
+inline const TraceTag kDaDropped{"slp.da.dropped", {}};
+inline const TraceTag kDescriptionStored{"slp.description.stored", {slot::kVersion}};
+}  // namespace tag
 
 /// SLP model parameters. The shared timing knobs live in the
 /// discovery::TimingConfig base: `announce_period` is the DAAdvert

@@ -84,7 +84,7 @@ class UpnpManager : public discovery::Node {
   void handle_renew(const net::Message& msg);
   void notify_subscriber(discovery::ServiceId service, NodeId user);
   void purge_subscriber(discovery::ServiceId service, NodeId user,
-                        const char* reason);
+                        sim::Atom why);
   void bumped(discovery::ServiceDescription& sd);
 
   /// Leased GENA subscription; lifecycle from the plugin layer's

@@ -5,6 +5,7 @@
 #include "sdcm/net/message_type.hpp"
 #include "sdcm/discovery/service.hpp"
 #include "sdcm/sim/time.hpp"
+#include "sdcm/sim/trace.hpp"
 
 /// Message payloads of the UPnP model. The model follows the NIST
 /// structure the paper benchmarks against (Section 5): SSDP-style
@@ -43,6 +44,43 @@ inline const net::MessageType kRenewResponse = net::MessageType::intern("upnp.re
 /// GENA NOTIFY: invalidation only - "the service changed" (TCP).
 inline const net::MessageType kNotify = net::MessageType::intern("upnp.notify");
 }  // namespace msg
+
+/// Trace tags of the UPnP model and how each renders its detail.
+namespace tag {
+namespace slot = sim::trace_slot;
+using sim::TraceRole;
+using sim::TraceTag;
+// Manager
+inline const TraceTag kShutdown{"upnp.shutdown", {}};
+inline const TraceTag kManagerDepart{"upnp.manager.depart", {}};
+inline const TraceTag kAnnounce{"upnp.announce", {}};
+inline const TraceTag kServiceChanged{"upnp.service_changed", {slot::kService, slot::kVersion}, TraceRole::kServiceChanged};
+inline const TraceTag kNotifyTx{"upnp.notify.tx", {slot::peer("user")}, TraceRole::kChangeNotification};
+inline const TraceTag kSubscriberPurged{"upnp.subscriber.purged", {slot::peer("user"), slot::reason("reason")}};
+inline const TraceTag kSubscribed{"upnp.subscribed", {slot::peer("user")}};
+inline const TraceTag kRenewUnknown{"upnp.renew.unknown", {slot::peer("user")}};
+// User
+inline const TraceTag kUserDepart{"upnp.user.depart", {}};
+inline const TraceTag kMSearchTx{"upnp.msearch.tx", {}};
+inline const TraceTag kManagerDiscovered{"upnp.manager.discovered", {slot::peer("manager")}};
+inline const TraceTag kManagerPurged{"upnp.manager.purged", {slot::kFlag}};
+inline const TraceTag kGetTx{"upnp.get.tx", {}};
+inline const TraceTag kGetRex{"upnp.get.rex", {}};
+inline const TraceTag kDescriptionStored{"upnp.description.stored", {slot::kVersion}};
+inline const TraceTag kSubscribeTx{"upnp.subscribe.tx", {}};
+inline const TraceTag kSubscriptionExpired{"upnp.subscription.expired", {}};
+inline const TraceTag kRenewTx{"upnp.renew.tx", {}};
+inline const TraceTag kRenewRejected{"upnp.renew.rejected", {}};
+inline const TraceTag kNotifyRx{"upnp.notify.rx", {slot::kVersion}};
+}  // namespace tag
+
+/// Reason words carried by UPnP trace records.
+namespace reason {
+inline const sim::Atom kNotifyRex = sim::Atom::intern("notify-rex");
+inline const sim::Atom kExpired = sim::Atom::intern("expired");
+inline const sim::Atom kByeBye = sim::Atom::intern("byebye");
+inline const sim::Atom kCacheExpired = sim::Atom::intern("cache-expired");
+}  // namespace reason
 
 struct Alive {
   NodeId manager = sim::kNoNode;

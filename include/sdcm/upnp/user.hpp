@@ -77,7 +77,7 @@ class UpnpUser : public discovery::Node {
   void subscribe();
   void renew();
   void refresh_cache_lease();
-  void purge_manager(const char* reason);
+  void purge_manager(sim::Atom why);
 
   Requirement requirement_;
   UpnpConfig config_;

@@ -1,44 +1,11 @@
 #include "sdcm/check/oracle.hpp"
 
 #include <algorithm>
-#include <cctype>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 namespace sdcm::check {
-
-namespace {
-
-/// Parses "version=N" out of a trace detail, respecting token
-/// boundaries so e.g. "from_version=2" never matches.
-std::optional<discovery::ServiceVersion> parse_version(
-    std::string_view detail) {
-  constexpr std::string_view kKey = "version=";
-  std::size_t pos = 0;
-  while ((pos = detail.find(kKey, pos)) != std::string_view::npos) {
-    if (pos == 0 || detail[pos - 1] == ' ') {
-      const std::string_view digits = detail.substr(pos + kKey.size());
-      discovery::ServiceVersion v = 0;
-      bool any = false;
-      for (const char c : digits) {
-        if (std::isdigit(static_cast<unsigned char>(c)) == 0) break;
-        v = v * 10 + static_cast<discovery::ServiceVersion>(c - '0');
-        any = true;
-      }
-      if (any) return v;
-      return std::nullopt;
-    }
-    pos += kKey.size();
-  }
-  return std::nullopt;
-}
-
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
-}  // namespace
 
 std::string_view to_string(Invariant invariant) noexcept {
   switch (invariant) {
@@ -80,6 +47,7 @@ void ConsistencyOracle::begin_run(discovery::ConsistencyObserver& observer,
   armed_ = false;
   last_episode_end_ = 0;
   outages_.clear();
+  outage_index_.clear();
   users_.clear();
   departed_.clear();
   last_span_ = sim::kNoSpan;
@@ -119,49 +87,100 @@ void ConsistencyOracle::arm(std::span<const net::FailureEpisode> plan,
                             std::span<const NodeId> departed) {
   users_.assign(users.begin(), users.end());
   departed_.assign(departed.begin(), departed.end());
+  std::sort(departed_.begin(), departed_.end());
   outages_.clear();
+  outage_index_.clear();
   last_episode_end_ = 0;
+  NodeId max_node = 0;
   for (const net::FailureEpisode& ep : plan) {
     if (ep.mode == net::FailureMode::kNone || ep.duration <= 0) continue;
     const bool tx = ep.mode == net::FailureMode::kTransmitter ||
                     ep.mode == net::FailureMode::kBoth;
     const bool rx = ep.mode == net::FailureMode::kReceiver ||
                     ep.mode == net::FailureMode::kBoth;
-    auto& node_outages = outages_[ep.node];
-    if (tx) node_outages[0].push_back(Interval{ep.start, ep.end()});
-    if (rx) node_outages[1].push_back(Interval{ep.start, ep.end()});
+    if (tx) outages_.push_back(Outage{ep.node, 0, {ep.start, ep.end()}});
+    if (rx) outages_.push_back(Outage{ep.node, 1, {ep.start, ep.end()}});
+    max_node = std::max(max_node, ep.node);
     // A permanent leaver's to-horizon outage is scenery, not a fault the
     // survivors need grace to recover from.
-    if (std::find(departed_.begin(), departed_.end(), ep.node) ==
-        departed_.end()) {
+    if (!departed_by(ep.node)) {
       last_episode_end_ = std::max(last_episode_end_, ep.end());
     }
   }
-  for (auto& [node, directions] : outages_) {
-    for (auto& intervals : directions) {
-      std::sort(intervals.begin(), intervals.end(),
-                [](const Interval& a, const Interval& b) {
-                  return a.start < b.start;
-                });
-      std::vector<Interval> merged;
-      for (const Interval& iv : intervals) {
-        if (!merged.empty() && iv.start <= merged.back().end) {
-          merged.back().end = std::max(merged.back().end, iv.end);
-        } else {
-          merged.push_back(iv);
-        }
+  // Sort by (node, direction, start), merge overlapping intervals of the
+  // same node and direction in place, then index each (node, direction)
+  // range: outage_index_[2 * node + d] is where its intervals begin.
+  std::sort(outages_.begin(), outages_.end(),
+            [](const Outage& a, const Outage& b) {
+              if (a.node != b.node) return a.node < b.node;
+              if (a.direction != b.direction) return a.direction < b.direction;
+              return a.interval.start < b.interval.start;
+            });
+  std::size_t merged = 0;
+  for (const Outage& o : outages_) {
+    if (merged > 0) {
+      Outage& last = outages_[merged - 1];
+      if (last.node == o.node && last.direction == o.direction &&
+          o.interval.start <= last.interval.end) {
+        last.interval.end = std::max(last.interval.end, o.interval.end);
+        continue;
       }
-      intervals = std::move(merged);
+    }
+    outages_[merged++] = o;
+  }
+  outages_.resize(merged);
+  if (!outages_.empty()) {
+    outage_index_.assign(2 * static_cast<std::size_t>(max_node) + 3, 0);
+    for (const Outage& o : outages_) {
+      ++outage_index_[2 * static_cast<std::size_t>(o.node) + o.direction + 1];
+    }
+    for (std::size_t i = 1; i < outage_index_.size(); ++i) {
+      outage_index_[i] += outage_index_[i - 1];
     }
   }
   armed_ = true;
 }
 
+bool ConsistencyOracle::departed_by(NodeId node) const {
+  return std::binary_search(departed_.begin(), departed_.end(), node);
+}
+
 void ConsistencyOracle::note_change(discovery::ServiceVersion version,
                                     SimTime at) {
   (void)at;
-  known_versions_.insert(version);
+  if (!known_version(version)) known_versions_.push_back(version);
   latest_change_ = std::max(latest_change_, version);
+}
+
+bool ConsistencyOracle::known_version(
+    discovery::ServiceVersion version) const {
+  return std::find(known_versions_.begin(), known_versions_.end(), version) !=
+         known_versions_.end();
+}
+
+const ConsistencyOracle::SpanMeta* ConsistencyOracle::find_span(
+    SpanId span) const {
+  // A run's span ids are 1, 2, 3, ...: span s sits at index s - 1.
+  if (span - 1 < spans_.size() && spans_[span - 1].span == span) {
+    return &spans_[span - 1];
+  }
+  const auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), span,
+      [](const SpanMeta& meta, SpanId id) { return meta.span < id; });
+  return it != spans_.end() && it->span == span ? &*it : nullptr;
+}
+
+void ConsistencyOracle::note_span(const SpanMeta& meta) {
+  if (spans_.empty() || meta.span > spans_.back().span) {
+    spans_.push_back(meta);
+    return;
+  }
+  // An id out of order (already a causality violation): keep the table
+  // sorted, and keep the first record of a repeated id.
+  const auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), meta.span,
+      [](const SpanMeta& m, SpanId id) { return m.span < id; });
+  if (it == spans_.end() || it->span != meta.span) spans_.insert(it, meta);
 }
 
 void ConsistencyOracle::on_record(const sim::TraceRecord& r) {
@@ -187,52 +206,55 @@ void ConsistencyOracle::on_record(const sim::TraceRecord& r) {
       add_violation(Invariant::kCausality, r.at, r.node, r.span,
                     "parent span id not smaller than child");
     }
-    const auto it = spans_.find(r.parent);
-    if (it == spans_.end()) {
+    const SpanMeta* parent = find_span(r.parent);
+    if (parent == nullptr) {
       add_violation(Invariant::kCausality, r.at, r.node, r.span,
                     "parent span never recorded");
     } else {
-      if (it->second.at > r.at) {
+      if (parent->at > r.at) {
         add_violation(Invariant::kCausality, r.at, r.node, r.span,
                       "record predates its causal parent");
       }
-      from_change = it->second.from_change;
+      from_change = parent->from_change;
     }
   }
 
-  const bool is_change = r.category == sim::TraceCategory::kUpdate &&
-                         ends_with(r.event, ".service_changed");
+  const sim::TraceRole role = sim::trace_role(r.event);
+  const std::optional<discovery::ServiceVersion> version =
+      r.detail.version();
+  const bool is_change = role == sim::TraceRole::kServiceChanged;
   if (is_change) {
     from_change = true;
-    if (const auto v = parse_version(r.detail)) note_change(*v, r.at);
+    if (version) note_change(*version, r.at);
   }
-  spans_.emplace(r.span, SpanMeta{r.at, from_change});
+  note_span(SpanMeta{r.span, r.at, from_change});
 
-  // A FRODO user that purges its manager deliberately discards its
-  // version knowledge and rediscovers; re-learning an older version
-  // from a stale backup afterwards is designed behaviour, not a silent
-  // regress. Reset the monotonicity floor for that user.
-  if (r.event == "frodo.manager.purged") user_versions_.erase(r.node);
+  // A User that discards its version knowledge on purpose (FRODO's purge
+  // of its Manager) rediscovers; re-learning an older version from a
+  // stale backup afterwards is designed behaviour, not a silent regress.
+  // Reset the monotonicity floor for that user.
+  if (role == sim::TraceRole::kVersionReset) user_versions_.erase(r.node);
 
   if (r.category == sim::TraceCategory::kUpdate && !is_change) {
     // Temporal rule: update-layer traffic carrying version N >= 2 must
     // postdate the change that created version N.
-    if (const auto v = parse_version(r.detail)) {
-      if (*v >= 2 && !known_versions_.contains(*v)) {
-        add_violation(Invariant::kCausality, r.at, r.node, r.span,
-                      "update record carries version " + std::to_string(*v) +
-                          " before any such change (" + r.event + ")");
-      }
+    if (version && *version >= 2 && !known_version(*version)) {
+      add_violation(Invariant::kCausality, r.at, r.node, r.span,
+                    "update record carries version " +
+                        std::to_string(*version) +
+                        " before any such change (" +
+                        std::string(r.event.str()) + ")");
     }
-    // Structural rule, where the propagation tree is unambiguous: a GENA
-    // notification exists only because a change did - it must descend
-    // from the service_changed root. (Pull-based paths like CM2 polling
-    // legitimately have timer roots, so this is scoped to upnp.notify.)
-    if (r.event == "upnp.notify.tx" && !from_change) {
+    // Structural rule, where the propagation tree is unambiguous: a push
+    // notification (GENA NOTIFY) exists only because a change did - it
+    // must descend from the service_changed root. (Pull-based paths like
+    // CM2 polling legitimately have timer roots, so only tags declared
+    // kChangeNotification are held to this.)
+    if (role == sim::TraceRole::kChangeNotification && !from_change) {
       add_violation(Invariant::kCausality, r.at, r.node, r.span,
                     "notification does not descend from a service_changed "
                     "root (" +
-                        r.event + ")");
+                        std::string(r.event.str()) + ")");
     }
   }
 }
@@ -241,20 +263,23 @@ void ConsistencyOracle::check_interface(NodeId node, bool direction_is_tx,
                                         bool up, SimTime at,
                                         std::string_view what) {
   if (!armed_) return;
-  const auto it = outages_.find(node);
-  const std::vector<Interval>* intervals = nullptr;
-  if (it != outages_.end()) {
-    intervals = &it->second[direction_is_tx ? 0 : 1];
+  // Nodes past the index (above every node in the plan) have no outage.
+  const std::size_t key =
+      2 * static_cast<std::size_t>(node) + (direction_is_tx ? 0 : 1);
+  std::size_t first = 0;
+  std::size_t last = 0;
+  if (key + 1 < outage_index_.size()) {
+    first = outage_index_[key];
+    last = outage_index_[key + 1];
   }
   bool inside_open = false;   // strictly inside a planned outage
   bool covered_closed = false;  // inside or on the boundary
-  if (intervals != nullptr) {
-    for (const Interval& iv : *intervals) {
-      if (iv.start > at) break;
-      if (at <= iv.end) {
-        covered_closed = true;
-        inside_open = at > iv.start && at < iv.end;
-      }
+  for (std::size_t i = first; i < last; ++i) {
+    const Interval& iv = outages_[i].interval;
+    if (iv.start > at) break;
+    if (at <= iv.end) {
+      covered_closed = true;
+      inside_open = at > iv.start && at < iv.end;
     }
   }
   // Boundary instants are unchecked: the transition event and wire
@@ -294,7 +319,7 @@ void ConsistencyOracle::on_user_version(NodeId user,
                       " to " + std::to_string(version));
   }
   current = std::max(current, version);
-  if (version >= 2 && !known_versions_.contains(version)) {
+  if (version >= 2 && !known_version(version)) {
     add_violation(Invariant::kCausality, at, user, sim::kNoSpan,
                   "user holds version " + std::to_string(version) +
                       " before any such change");
@@ -367,8 +392,7 @@ OracleReport ConsistencyOracle::finish() {
   if (config_.require_convergence && latest_change_ >= 2 &&
       last_episode_end_ + config_.convergence_grace <= deadline_) {
     for (const NodeId user : users_) {
-      if (std::find(departed_.begin(), departed_.end(), user) !=
-          departed_.end()) {
+      if (departed_by(user)) {
         continue;  // left for good mid-run; nothing to converge
       }
       const auto it = user_versions_.find(user);

@@ -5,9 +5,14 @@
 namespace sdcm::discovery {
 
 void ConsistencyObserver::track_user(NodeId user) {
-  if (std::find(users_.begin(), users_.end(), user) == users_.end()) {
-    users_.push_back(user);
-  }
+  if (tracks(user)) return;
+  if (user >= tracked_.size()) tracked_.resize(std::size_t{user} + 1, false);
+  tracked_[user] = true;
+  users_.push_back(user);
+}
+
+bool ConsistencyObserver::tracks(NodeId user) const noexcept {
+  return user < tracked_.size() && tracked_[user];
 }
 
 void ConsistencyObserver::service_changed(ServiceVersion version,
@@ -40,7 +45,7 @@ void ConsistencyObserver::notification_sent(NodeId holder, NodeId user,
 
 void ConsistencyObserver::user_reached(NodeId user, ServiceVersion version,
                                        sim::SimTime at) {
-  if (std::find(users_.begin(), users_.end(), user) == users_.end()) return;
+  if (!tracks(user)) return;
   const auto [it, inserted] =
       reached_.emplace(std::make_pair(user, version), at);
   if (inserted && on_user_reached) on_user_reached(user, version, at);

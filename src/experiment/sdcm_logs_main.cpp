@@ -25,44 +25,43 @@
 #include "sdcm/experiment/profile.hpp"
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/scenario.hpp"
+#include "sdcm/frodo/messages.hpp"
+#include "sdcm/jini/messages.hpp"
+#include "sdcm/mdns/mdns.hpp"
 #include "sdcm/net/failure_model.hpp"
 #include "sdcm/obs/span_tree.hpp"
 #include "sdcm/obs/trace_jsonl.hpp"
+#include "sdcm/upnp/messages.hpp"
 
 namespace {
 
 using namespace sdcm;
 
 struct TechniqueSummary {
-  const char* event;
+  const sim::TraceTag* tag;
   const char* meaning;
 };
 
 // Trace tags attributed to recovery techniques, per protocol family.
 constexpr TechniqueSummary kAttribution[] = {
-    {"frodo.srn2.marked", "SRN1 exhausted; User marked inconsistent"},
-    {"frodo.srn2.retry", "SRN2: update re-sent on lease renewal"},
-    {"frodo.update.central_retry", "Manager re-synced a stale Central"},
-    {"frodo.resubscribe.request", "PR3/PR4: resubscription requested"},
-    {"frodo.notify.tx", "PR1: Registry notified an interest"},
-    {"frodo.manager.purged", "PR5: User purged the Manager"},
-    {"frodo.backup.takeover", "Backup promoted itself to Central"},
-    {"jini.event.rex", "remote event delivery failed (REX)"},
-    {"jini.registry.purged", "lookup service purged (rediscovery next)"},
-    {"jini.event.lapsed", "PR3: event lease error forced rediscovery"},
-    {"upnp.subscriber.purged", "failed NOTIFY cancelled a subscription"},
-    {"upnp.renew.rejected", "PR4: renewal rejected, resubscribing"},
-    {"upnp.manager.purged", "PR5: cache lease expired, rediscovering"},
-    {"upnp.get.rex", "description fetch failed (REX)"},
-    {"mdns.record.purged", "PR5: record TTL expired, re-querying"},
-    {"mdns.query.tx", "multicast query (discovery / rediscovery)"},
-    {"tcp.rex", "TCP connection setup gave up (REX)"},
+    {&frodo::tag::kSrn2Marked, "SRN1 exhausted; User marked inconsistent"},
+    {&frodo::tag::kSrn2Retry, "SRN2: update re-sent on lease renewal"},
+    {&frodo::tag::kUpdateCentralRetry, "Manager re-synced a stale Central"},
+    {&frodo::tag::kResubscribeRequest, "PR3/PR4: resubscription requested"},
+    {&frodo::tag::kNotifyTx, "PR1: Registry notified an interest"},
+    {&frodo::tag::kManagerPurged, "PR5: User purged the Manager"},
+    {&frodo::tag::kBackupTakeover, "Backup promoted itself to Central"},
+    {&jini::tag::kEventRex, "remote event delivery failed (REX)"},
+    {&jini::tag::kRegistryPurged, "lookup service purged (rediscovery next)"},
+    {&jini::tag::kEventLapsed, "PR3: event lease error forced rediscovery"},
+    {&upnp::tag::kSubscriberPurged, "failed NOTIFY cancelled a subscription"},
+    {&upnp::tag::kRenewRejected, "PR4: renewal rejected, resubscribing"},
+    {&upnp::tag::kManagerPurged, "PR5: cache lease expired, rediscovering"},
+    {&upnp::tag::kGetRex, "description fetch failed (REX)"},
+    {&mdns::tag::kRecordPurged, "PR5: record TTL expired, re-querying"},
+    {&mdns::tag::kQueryTx, "multicast query (discovery / rediscovery)"},
+    {&net::tag::kTcpRex, "TCP connection setup gave up (REX)"},
 };
-
-// The change record every model roots its update fan-out under.
-constexpr const char* kChangeEvents[] = {
-    "frodo.service_changed", "jini.service_changed", "upnp.service_changed",
-    "mdns.service_changed"};
 
 int usage() {
   std::fprintf(
@@ -130,12 +129,12 @@ int diff_traces(const char* path_a, const char* path_b) {
   for (std::size_t i = 0; i < common; ++i) {
     if (!same_behaviour(a[i], b[i])) {
       std::printf("first divergence at record %zu:\n", i);
-      std::printf("  a: [%s] node %u %s  %s\n",
-                  sim::format_time(a[i].at).c_str(), a[i].node,
-                  a[i].event.c_str(), a[i].detail.c_str());
-      std::printf("  b: [%s] node %u %s  %s\n",
-                  sim::format_time(b[i].at).c_str(), b[i].node,
-                  b[i].event.c_str(), b[i].detail.c_str());
+      for (const auto* r : {&a[i], &b[i]}) {
+        std::printf("  %c: [%s] node %u %s  %s\n", r == &a[i] ? 'a' : 'b',
+                    sim::format_time(r->at).c_str(), r->node,
+                    std::string(r->event.str()).c_str(),
+                    sim::detail_text(r->event, r->detail).c_str());
+      }
       return 3;
     }
   }
@@ -314,9 +313,10 @@ int main(int argc, char** argv) {
 
   std::printf("\nrecovery-technique attribution:\n");
   for (const auto& entry : kAttribution) {
-    const std::size_t count = traced.trace.count_event(entry.event);
+    const std::size_t count = traced.trace.count_event(entry.tag->atom());
     if (count > 0) {
-      std::printf("  %4zu x %-28s %s\n", count, entry.event, entry.meaning);
+      std::printf("  %4zu x %-28s %s\n", count,
+                  std::string(entry.tag->name()).c_str(), entry.meaning);
     }
   }
 
@@ -332,15 +332,13 @@ int main(int argc, char** argv) {
       }
       root_index = it->second;
     } else {
+      // The change record every model roots its update fan-out under.
       for (std::size_t i = 0; i < forest.nodes.size(); ++i) {
-        const std::string& event = forest.nodes[i].record->event;
-        for (const char* change : kChangeEvents) {
-          if (event == change) {
-            root_index = i;
-            break;
-          }
+        if (sim::trace_role(forest.nodes[i].record->event) ==
+            sim::TraceRole::kServiceChanged) {
+          root_index = i;
+          break;
         }
-        if (root_index != forest.nodes.size()) break;
       }
       if (root_index == forest.nodes.size()) {
         std::fprintf(stderr,

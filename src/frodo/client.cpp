@@ -74,8 +74,8 @@ void FrodoClient::central_heard(NodeId node, std::uint64_t epoch) {
     central_ = node;
     central_epoch_ = epoch;
     arm_silence_timer();
-    trace(sim::TraceCategory::kDiscovery, "frodo.central.discovered",
-          "central=" + std::to_string(node));
+    trace(sim::TraceCategory::kDiscovery, tag::kCentralDiscovered,
+          sim::TraceDetail{}.peer(node));
     on_central_discovered();
     return;
   }
@@ -90,9 +90,8 @@ void FrodoClient::central_heard(NodeId node, std::uint64_t epoch) {
     central_ = node;
     central_epoch_ = epoch;
     arm_silence_timer();
-    trace(sim::TraceCategory::kElection, "frodo.central.switched",
-          "central=" + std::to_string(node) +
-              " epoch=" + std::to_string(epoch));
+    trace(sim::TraceCategory::kElection, tag::kCentralSwitched,
+          sim::TraceDetail{}.peer(node).epoch(epoch));
     on_central_changed();
   }
 }
@@ -112,8 +111,8 @@ void FrodoClient::arm_silence_timer() {
 
 void FrodoClient::lose_central() {
   if (central_ == sim::kNoNode) return;
-  trace(sim::TraceCategory::kDiscovery, "frodo.central.lost",
-        "central=" + std::to_string(central_));
+  trace(sim::TraceCategory::kDiscovery, tag::kCentralLost,
+        sim::TraceDetail{}.peer(central_));
   central_ = sim::kNoNode;
   on_central_lost();
   // Resume announcing until a (possibly new) Central is found.

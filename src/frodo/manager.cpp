@@ -70,7 +70,7 @@ void FrodoManager::depart() {
     }
   }
   subs_.clear();
-  trace(sim::TraceCategory::kDiscovery, "frodo.manager.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerDepart);
 }
 
 void FrodoManager::on_central_discovered() {
@@ -114,16 +114,15 @@ void FrodoManager::register_service(ServiceId service) {
                                  : MessageClass::kDiscovery;
   m.bytes = 48 + discovery::wire_size(state.sd);
   m.payload = Register{token, id(), device_class(), state.sd, state.critical};
-  m.span = trace(sim::TraceCategory::kDiscovery, "frodo.register.tx",
-                 "service=" + std::to_string(service) +
-                     " version=" + std::to_string(state.sd.version));
+  m.span = trace(sim::TraceCategory::kDiscovery, tag::kRegisterTx,
+                 sim::TraceDetail{}.service(service).version(state.sd.version));
   channel().send(token, std::move(m), srn1_options(), /*on_acked=*/{},
                  /*on_failed=*/[this, service] {
                    auto& st = services_.at(service);
                    st.registered = false;
                    trace(sim::TraceCategory::kDiscovery,
-                         "frodo.register.failed",
-                         "service=" + std::to_string(service));
+                         tag::kRegisterFailed,
+                         sim::TraceDetail{}.service(service));
                  });
 }
 
@@ -177,9 +176,9 @@ void FrodoManager::renew_registration(ServiceId service) {
         // The renewal proves the Central is reachable again: deliver the
         // update it missed.
         if (st.central_stale && st.pending_central_update == 0) {
-          const sim::SpanId retry = trace(
-              sim::TraceCategory::kUpdate, "frodo.update.central_retry",
-              "service=" + std::to_string(service));
+          const sim::SpanId retry =
+              trace(sim::TraceCategory::kUpdate, tag::kUpdateCentralRetry,
+                    sim::TraceDetail{}.service(service));
           sim::SpanScope scope(simulator().trace(), retry);
           send_update_to_central(service);
         }
@@ -224,9 +223,8 @@ void FrodoManager::change_service(ServiceId service,
   }
   state.last_change = now();
   const sim::SpanId change_span =
-      trace(sim::TraceCategory::kUpdate, "frodo.service_changed",
-            "service=" + std::to_string(service) +
-                " version=" + std::to_string(state.sd.version));
+      trace(sim::TraceCategory::kUpdate, tag::kServiceChanged,
+            sim::TraceDetail{}.service(service).version(state.sd.version));
   // Everything the change triggers - the Central update and the per-User
   // notifications - descends from this record, making the fan-out a tree.
   sim::SpanScope change_scope(simulator().trace(), change_span);
@@ -293,8 +291,8 @@ void FrodoManager::send_update_to_central(ServiceId service) {
         auto& st = services_.at(service);
         st.pending_central_update = 0;
         st.central_stale = true;
-        trace(sim::TraceCategory::kUpdate, "frodo.update.central_failed",
-              "service=" + std::to_string(service));
+        trace(sim::TraceCategory::kUpdate, tag::kUpdateCentralFailed,
+              sim::TraceDetail{}.service(service));
       });
 }
 
@@ -339,10 +337,9 @@ void FrodoManager::send_update_to_user(ServiceId service, NodeId user) {
     m.bytes = discovery::wire_size(state.sd);
     m.payload = ServiceUpdate{token, state.sd, state.critical, false};
   }
-  m.span = trace(sim::TraceCategory::kUpdate, "frodo.update.tx",
-                 "user=" + std::to_string(user) + " version=" +
-                     std::to_string(version) +
-                     (invalidate ? " invalidation" : ""));
+  sim::TraceDetail detail = sim::TraceDetail{}.peer(user).version(version);
+  if (invalidate) detail.reason(reason::kInvalidation);
+  m.span = trace(sim::TraceCategory::kUpdate, tag::kUpdateTx, detail);
   if (observer_ != nullptr) {
     observer_->notification_sent(id(), user, version, now());
   }
@@ -369,8 +366,8 @@ void FrodoManager::send_update_to_user(ServiceId service, NodeId user) {
           // SRN2: remember the inconsistent User; retry when its next
           // subscription renewal proves it is reachable again.
           entry->inconsistent_since = version;
-          trace(sim::TraceCategory::kUpdate, "frodo.srn2.marked",
-                "user=" + std::to_string(user));
+          trace(sim::TraceCategory::kUpdate, tag::kSrn2Marked,
+                sim::TraceDetail{}.peer(user));
         }
       });
 }
@@ -426,7 +423,7 @@ void FrodoManager::handle_search(const Message& m, const Matching& matching,
 
 void FrodoManager::arm_subscription_expiry(ServiceId service, NodeId user) {
   subs_.at(service).at(user).arm(simulator(), [this, service, user] {
-    purge_subscriber(service, user, "expired");
+    purge_subscriber(service, user, reason::kExpired);
   });
 }
 
@@ -443,8 +440,8 @@ void FrodoManager::handle_subscription_request(const Message& m) {
   if (observer_ != nullptr) {
     observer_->lease_granted(id(), req.user, sub.lease.expires_at(), now());
   }
-  trace(sim::TraceCategory::kSubscription, "frodo.subscribed",
-        "user=" + std::to_string(req.user));
+  trace(sim::TraceCategory::kSubscription, tag::kSubscribed,
+        sim::TraceDetail{}.peer(req.user));
 
   Message ack;
   ack.src = id();
@@ -480,8 +477,8 @@ void FrodoManager::handle_subscription_renew(const Message& m) {
     req.klass = MessageClass::kControl;
     req.payload = ResubscribeRequest{renew.token, renew.service};
     req.span = trace(sim::TraceCategory::kSubscription,
-                     "frodo.resubscribe.request",
-                     "user=" + std::to_string(renew.user));
+                     tag::kResubscribeRequest,
+                     sim::TraceDetail{}.peer(renew.user));
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.pr4").inc());
     network().send(req);
     return;
@@ -501,8 +498,8 @@ void FrodoManager::handle_subscription_renew(const Message& m) {
   if (config().enable_srn2 && sub.inconsistent_since != 0 &&
       sub.inconsistent_since == state.sd.version && sub.pending_update == 0) {
     const sim::SpanId retry =
-        trace(sim::TraceCategory::kUpdate, "frodo.srn2.retry",
-              "user=" + std::to_string(renew.user));
+        trace(sim::TraceCategory::kUpdate, tag::kSrn2Retry,
+              sim::TraceDetail{}.peer(renew.user));
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.srn2").inc());
     sim::SpanScope scope(simulator().trace(), retry);
     send_update_to_user(renew.service, renew.user);
@@ -534,7 +531,7 @@ void FrodoManager::handle_update_request(const Message& m) {
 }
 
 void FrodoManager::purge_subscriber(ServiceId service, NodeId user,
-                                    const char* reason) {
+                                    sim::Atom why) {
   const auto it = subs_.find(service);
   if (it == subs_.end()) return;
   Subscription* sub = it->second.find(user);
@@ -545,8 +542,8 @@ void FrodoManager::purge_subscriber(ServiceId service, NodeId user,
   }
   it->second.erase(user);
   if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
-  trace(sim::TraceCategory::kSubscription, "frodo.subscriber.purged",
-        "user=" + std::to_string(user) + " reason=" + reason);
+  trace(sim::TraceCategory::kSubscription, tag::kSubscriberPurged,
+        sim::TraceDetail{}.peer(user).reason(why));
 }
 
 }  // namespace sdcm::frodo

@@ -90,8 +90,8 @@ void FrodoRegistryNode::become_central(std::uint64_t epoch) {
   epoch_ = epoch;
   known_central_ = id();
   known_epoch_ = epoch;
-  trace(sim::TraceCategory::kElection, "frodo.central.elected",
-        "epoch=" + std::to_string(epoch));
+  trace(sim::TraceCategory::kElection, tag::kCentralElected,
+        sim::TraceDetail{}.epoch(epoch));
 
   // If we were the Backup, install the synced configuration with fresh
   // leases (Section 3: "the Backup takes over automatically").
@@ -155,13 +155,13 @@ void FrodoRegistryNode::monitor_tick() {
   const auto period = config_.announce_period;
   if (role_ == Role::kBackup &&
       silence > config_.backup_miss_threshold * period) {
-    trace(sim::TraceCategory::kElection, "frodo.backup.takeover",
-          "silence=" + sim::format_time(silence));
+    trace(sim::TraceCategory::kElection, tag::kBackupTakeover,
+          sim::TraceDetail{}.duration(silence));
     monitor_timer_.stop();
     become_central(known_epoch_ + 1);
   } else if (role_ == Role::kStandby &&
              silence > config_.standby_miss_threshold * period) {
-    trace(sim::TraceCategory::kElection, "frodo.standby.reelection");
+    trace(sim::TraceCategory::kElection, tag::kStandbyReelection);
     monitor_timer_.stop();
     known_central_ = sim::kNoNode;
     candidates_.clear();
@@ -193,8 +193,8 @@ void FrodoRegistryNode::appoint_backup() {
                 {config_.srn1_retries, config_.srn1_spacing},
                 [this, best] {
                   backup_ = best;
-                  trace(sim::TraceCategory::kElection, "frodo.backup.assigned",
-                        "backup=" + std::to_string(best));
+                  trace(sim::TraceCategory::kElection, tag::kBackupAssigned,
+                        sim::TraceDetail{}.peer(best));
                   sync_backup();
                 });
 }
@@ -278,8 +278,8 @@ void FrodoRegistryNode::handle_central_announce(const Message& m) {
     // the winner can appoint it as Backup.
     if (outranks(ann.epoch, ann.capability, ann.central, epoch_, capability_,
                  id())) {
-      trace(sim::TraceCategory::kElection, "frodo.central.demoted",
-            "to=" + std::to_string(ann.central));
+      trace(sim::TraceCategory::kElection, tag::kCentralDemoted,
+            sim::TraceDetail{}.peer(ann.central));
       announce_timer_.stop();
       known_central_ = ann.central;
       known_epoch_ = ann.epoch;
@@ -348,8 +348,8 @@ void FrodoRegistryNode::handle_backup_assign(const Message& m) {
   known_central_ = assign.central;
   known_epoch_ = assign.epoch;
   last_central_heard_ = now();
-  trace(sim::TraceCategory::kElection, "frodo.backup.accepted",
-        "central=" + std::to_string(assign.central));
+  trace(sim::TraceCategory::kElection, tag::kBackupAccepted,
+        sim::TraceDetail{}.peer(assign.central));
   SDCM_PROFILE_TIMER(monitor_timer_, "timer.frodo.monitor");
   monitor_timer_.start(
       simulator(), config_.announce_period,
@@ -396,10 +396,11 @@ void FrodoRegistryNode::handle_register(const Message& m) {
   reg.lease = discovery::Lease{now(), config_.registration_lease};
   reg.history[reg.sd.version] = reg.sd;
   arm_registration_expiry(reg_msg.sd.id);
-  trace(sim::TraceCategory::kDiscovery, "frodo.registered",
-        "service=" + std::to_string(reg_msg.sd.id) +
-            " version=" + std::to_string(reg_msg.sd.version) +
-            (inserted ? " new" : " refresh"));
+  trace(sim::TraceCategory::kDiscovery, tag::kRegistered,
+        sim::TraceDetail{}
+            .service(reg_msg.sd.id)
+            .version(reg_msg.sd.version)
+            .reason(inserted ? reason::kNew : reason::kRefresh));
 
   Message ack;
   ack.src = id();
@@ -481,9 +482,10 @@ void FrodoRegistryNode::handle_service_update(const Message& m) {
 
   if (newer) {
     const sim::SpanId stored =
-        trace(sim::TraceCategory::kUpdate, "frodo.update.stored",
-              "service=" + std::to_string(update.sd.id) +
-                  " version=" + std::to_string(update.sd.version));
+        trace(sim::TraceCategory::kUpdate, tag::kUpdateStored,
+              sim::TraceDetail{}
+                  .service(update.sd.id)
+                  .version(update.sd.version));
     // The Central's fan-out to the subscribed Users descends from the
     // stored update, which itself descends from the Manager's send.
     sim::SpanScope scope(simulator().trace(), stored);
@@ -509,9 +511,8 @@ void FrodoRegistryNode::propagate_update(ServiceId service) {
     m.klass = MessageClass::kUpdate;
     m.bytes = discovery::wire_size(reg.sd);
     m.payload = ServiceUpdate{token, reg.sd, reg.critical};
-    m.span = trace(sim::TraceCategory::kUpdate, "frodo.update.tx",
-                   "user=" + std::to_string(user) +
-                       " version=" + std::to_string(reg.sd.version));
+    m.span = trace(sim::TraceCategory::kUpdate, tag::kUpdateTx,
+                   sim::TraceDetail{}.peer(user).version(reg.sd.version));
     if (observer_ != nullptr) {
       observer_->notification_sent(id(), user, reg.sd.version, now());
     }
@@ -545,9 +546,8 @@ void FrodoRegistryNode::notify_interest(NodeId user, ServiceId service) {
                                : MessageClass::kDiscovery;
   m.bytes = 48 + discovery::wire_size(reg.sd);
   m.payload = ServiceNotification{token, reg.sd, reg.manager_class};
-  m.span = trace(sim::TraceCategory::kUpdate, "frodo.notify.tx",
-                 "user=" + std::to_string(user) +
-                     " version=" + std::to_string(reg.sd.version));
+  m.span = trace(sim::TraceCategory::kUpdate, tag::kNotifyTx,
+                 sim::TraceDetail{}.peer(user).version(reg.sd.version));
   SDCM_OBS_ONLY(if (reg.sd.version > 1) {
     // A version the User may have missed is being pushed by interest
     // notification: that is PR1 doing recovery, not plain discovery.
@@ -601,8 +601,8 @@ void FrodoRegistryNode::handle_subscription_request(const Message& m) {
   if (observer_ != nullptr) {
     observer_->lease_granted(id(), req.user, sub.lease.expires_at(), now());
   }
-  trace(sim::TraceCategory::kSubscription, "frodo.subscribed",
-        "user=" + std::to_string(req.user));
+  trace(sim::TraceCategory::kSubscription, tag::kSubscribed,
+        sim::TraceDetail{}.peer(req.user));
   sync_backup();
 
   Message ack;
@@ -650,8 +650,8 @@ void FrodoRegistryNode::handle_subscription_renew(const Message& m) {
   req.klass = MessageClass::kControl;
   req.payload = ResubscribeRequest{renew.token, renew.service};
   req.span = trace(sim::TraceCategory::kSubscription,
-                   "frodo.resubscribe.request",
-                   "user=" + std::to_string(renew.user));
+                   tag::kResubscribeRequest,
+                   sim::TraceDetail{}.peer(renew.user));
   SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.pr3").inc());
   network().send(req);
 }
@@ -700,8 +700,8 @@ void FrodoRegistryNode::purge_registration(ServiceId service) {
   if (it == registrations_.end()) return;
   const discovery::ServiceDescription sd = it->second.sd;
   registrations_.erase(it);
-  trace(sim::TraceCategory::kLease, "frodo.registration.purged",
-        "service=" + std::to_string(service));
+  trace(sim::TraceCategory::kLease, tag::kRegistrationPurged,
+        sim::TraceDetail{}.service(service));
   // Feed PR5: tell every User that cares (3-party subscribers and, for
   // 2-party services, interested Users - the Central cannot see direct
   // subscriptions) that the Manager was purged; they purge the
@@ -736,8 +736,8 @@ void FrodoRegistryNode::purge_subscription(ServiceId service, NodeId user) {
   if (it == subscriptions_.end()) return;
   if (it->second.erase(user) > 0) {
     if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
-    trace(sim::TraceCategory::kLease, "frodo.subscription.purged",
-          "user=" + std::to_string(user));
+    trace(sim::TraceCategory::kLease, tag::kSubscriptionPurged,
+          sim::TraceDetail{}.peer(user));
     sync_backup();
   }
 }

@@ -10,6 +10,19 @@ using discovery::ServiceDescription;
 using net::Message;
 using net::MessageClass;
 
+namespace {
+
+/// A device class as the class= atom of frodo.manager.discovered.
+sim::Atom class_atom(DeviceClass c) {
+  static const sim::Atom atoms[] = {
+      sim::Atom::intern(to_string(DeviceClass::k3C)),
+      sim::Atom::intern(to_string(DeviceClass::k3D)),
+      sim::Atom::intern(to_string(DeviceClass::k300D))};
+  return atoms[static_cast<std::size_t>(c)];
+}
+
+}  // namespace
+
 FrodoUser::FrodoUser(sim::Simulator& simulator, net::Network& network,
                      NodeId id, DeviceClass device_class, Matching requirement,
                      FrodoConfig config,
@@ -211,22 +224,23 @@ void FrodoUser::on_message(const Message& m) {
     channel().acknowledge(ack.token);
     subscribe_in_flight_ = false;
     subscribed_ = true;
-    trace(sim::TraceCategory::kSubscription, "frodo.subscribed",
-          two_party() ? "mode=2-party" : "mode=3-party");
+    trace(sim::TraceCategory::kSubscription, tag::kSubscribed,
+          sim::TraceDetail{}.reason(two_party() ? reason::kTwoParty
+                                                : reason::kThreeParty));
     if (ack.sd.has_value()) store_sd(*ack.sd, critical_);
     schedule_renewal(static_cast<sim::SimDuration>(
         static_cast<double>(ack.lease) * config().renew_fraction));
   } else if (m.type == msg::kResubscribeRequest) {
     const auto& req = m.as<ResubscribeRequest>();
     if (req.token != 0) channel().acknowledge(req.token);
-    trace(sim::TraceCategory::kSubscription, "frodo.resubscribing");
+    trace(sim::TraceCategory::kSubscription, tag::kResubscribing);
     subscribed_ = false;
     if (!subscribe_in_flight_) subscribe();
   } else if (m.type == msg::kServicePurged) {
     const auto& purged = m.as<ServicePurged>();
     if (sd_.has_value() && sd_->id == purged.service &&
         config().enable_pr5) {
-      purge_manager("registry-purged");
+      purge_manager(reason::kRegistryPurged);
     }
   } else if (m.type == msg::kAck) {
     channel().acknowledge(m.as<Ack>().token);
@@ -238,9 +252,8 @@ void FrodoUser::adopt(const ServiceDescription& sd,
   manager_ = sd.manager;
   manager_class_ = manager_class;
   stop_search();
-  trace(sim::TraceCategory::kDiscovery, "frodo.manager.discovered",
-        "manager=" + std::to_string(manager_) + " class=" +
-            std::string(to_string(manager_class)));
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerDiscovered,
+        sim::TraceDetail{}.peer(manager_).reason(class_atom(manager_class)));
   store_sd(sd, critical_);
   if (!subscribed_ && !subscribe_in_flight_) subscribe();
 }
@@ -257,8 +270,8 @@ void FrodoUser::store_sd(const ServiceDescription& sd, bool critical) {
   if (sd_.has_value() && sd_->version >= sd.version) return;
   sd_ = sd;
   if (observer_ != nullptr) observer_->user_version(id(), sd.version, now());
-  trace(sim::TraceCategory::kUpdate, "frodo.description.stored",
-        "version=" + std::to_string(sd.version));
+  trace(sim::TraceCategory::kUpdate, tag::kDescriptionStored,
+        sim::TraceDetail{}.version(sd.version));
   // SRC2: a critical service requires the complete view; request any
   // versions the sequence numbers show we missed.
   if (critical_) request_missing_versions(sd.id);
@@ -274,8 +287,8 @@ void FrodoUser::fetch_invalidated_version() {
   m.klass = MessageClass::kUpdate;
   m.bytes = 64;
   m.payload = UpdateRequest{id(), sd_->id, invalidated_version_};
-  trace(sim::TraceCategory::kUpdate, "frodo.invalidation.fetch",
-        "from=" + std::to_string(invalidated_version_));
+  trace(sim::TraceCategory::kUpdate, tag::kInvalidationFetch,
+        sim::TraceDetail{}.from_version(invalidated_version_));
   network().send(m);
 }
 
@@ -289,8 +302,8 @@ void FrodoUser::request_missing_versions(ServiceId service) {
     }
   }
   if (first_missing == 0) return;
-  trace(sim::TraceCategory::kUpdate, "frodo.src2.request",
-        "from=" + std::to_string(first_missing));
+  trace(sim::TraceCategory::kUpdate, tag::kSrc2Request,
+        sim::TraceDetail{}.from_version(first_missing));
   Message m;
   m.src = id();
   m.dst = two_party() ? manager_ : central();
@@ -317,8 +330,8 @@ void FrodoUser::subscribe() {
   m.type = msg::kSubscriptionRequest;
   m.klass = MessageClass::kControl;
   m.payload = SubscriptionRequest{token, id(), sd_->id, sd_->version};
-  trace(sim::TraceCategory::kSubscription, "frodo.subscribe.tx",
-        "to=" + std::to_string(lessor));
+  trace(sim::TraceCategory::kSubscription, tag::kSubscribeTx,
+        sim::TraceDetail{}.peer(lessor));
   channel().send(token, std::move(m), srn1_options(), /*on_acked=*/{},
                  /*on_failed=*/[this] {
                    subscribe_in_flight_ = false;
@@ -368,7 +381,8 @@ void FrodoUser::depart() {
   FrodoClient::depart();
   stop_search();
   poll_timer_.stop();
-  trace(sim::TraceCategory::kDiscovery, "frodo.manager.purged", "depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerPurged,
+        sim::TraceDetail{}.reason(reason::kDepart));
   manager_ = sim::kNoNode;
   sd_.reset();
   versions_seen_.clear();
@@ -382,8 +396,9 @@ void FrodoUser::depart() {
   }
 }
 
-void FrodoUser::purge_manager(const char* reason) {
-  trace(sim::TraceCategory::kDiscovery, "frodo.manager.purged", reason);
+void FrodoUser::purge_manager(sim::Atom why) {
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerPurged,
+        sim::TraceDetail{}.reason(why));
   manager_ = sim::kNoNode;
   sd_.reset();
   versions_seen_.clear();

@@ -83,12 +83,12 @@ void JiniManager::registry_heard(NodeId registry) {
                             [this, registry] {
                               SDCM_PROFILE_SITE(simulator(),
                                                 "timer.jini.registry_silent");
-                              purge_registry(registry, "silent");
+                              purge_registry(registry, reason::kSilent);
                             });
 
   if (inserted) {
-    trace(sim::TraceCategory::kDiscovery, "jini.registry.discovered",
-          "registry=" + std::to_string(registry));
+    trace(sim::TraceCategory::kDiscovery, tag::kRegistryDiscovered,
+          sim::TraceDetail{}.peer(registry));
     // Register everything with the newly discovered lookup service. If a
     // service changed while we were out of touch, this re-registration
     // carries the new version - PR1 in action.
@@ -99,15 +99,15 @@ void JiniManager::registry_heard(NodeId registry) {
 }
 
 void JiniManager::depart() {
-  trace(sim::TraceCategory::kDiscovery, "jini.manager.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerDepart);
   while (!registries_.empty()) {
-    purge_registry(registries_.first_key(), "depart");
+    purge_registry(registries_.first_key(), reason::kDepart);
   }
   request_timer_.stop();
   requests_sent_ = 0;
 }
 
-void JiniManager::purge_registry(NodeId registry, const char* reason) {
+void JiniManager::purge_registry(NodeId registry, sim::Atom why) {
   RegistryState* state = registries_.find(registry);
   if (state == nullptr) return;
   if (state->silence_timer != sim::kInvalidEventId) {
@@ -119,9 +119,8 @@ void JiniManager::purge_registry(NodeId registry, const char* reason) {
     }
   }
   registries_.erase(registry);
-  trace(sim::TraceCategory::kDiscovery, "jini.registry.purged",
-        std::string("registry=") + std::to_string(registry) +
-            " reason=" + reason);
+  trace(sim::TraceCategory::kDiscovery, tag::kRegistryPurged,
+        sim::TraceDetail{}.peer(registry).reason(why));
   // Rediscovery relies on the lookup service's periodic announcements.
 }
 
@@ -136,12 +135,12 @@ void JiniManager::register_service(NodeId registry, ServiceId service) {
                                        : MessageClass::kDiscovery;
   m.bytes = 48 + discovery::wire_size(svc_it->second);
   m.payload = Register{id(), svc_it->second};
-  m.span = trace(sim::TraceCategory::kUpdate, "jini.register.tx",
-                 "registry=" + std::to_string(registry) +
-                     " version=" + std::to_string(svc_it->second.version));
+  m.span = trace(
+      sim::TraceCategory::kUpdate, tag::kRegisterTx,
+      sim::TraceDetail{}.peer(registry).version(svc_it->second.version));
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
-      [this, registry] { purge_registry(registry, "register-rex"); },
+      [this, registry] { purge_registry(registry, reason::kRegisterRex); },
       config_.tcp);
 }
 
@@ -172,7 +171,7 @@ void JiniManager::renew_registration(NodeId registry, ServiceId service) {
   m.payload = RenewRegistration{id(), service};
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
-      [this, registry] { purge_registry(registry, "renew-rex"); },
+      [this, registry] { purge_registry(registry, reason::kRenewRex); },
       config_.tcp);
 }
 
@@ -195,8 +194,8 @@ void JiniManager::handle_renew_response(const Message& m) {
   } else {
     // Registration expired at the lookup service: re-register with the
     // current description (PR1 when the version moved meanwhile).
-    trace(sim::TraceCategory::kLease, "jini.renew.lapsed",
-          "registry=" + std::to_string(registry));
+    trace(sim::TraceCategory::kLease, tag::kRenewLapsed,
+          sim::TraceDetail{}.peer(registry));
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr1").inc());
     register_service(registry, service);
   }
@@ -215,9 +214,8 @@ void JiniManager::change_service(ServiceId service,
   }
   ++it->second.version;
   const sim::SpanId change_span =
-      trace(sim::TraceCategory::kUpdate, "jini.service_changed",
-            "service=" + std::to_string(service) +
-                " version=" + std::to_string(it->second.version));
+      trace(sim::TraceCategory::kUpdate, tag::kServiceChanged,
+            sim::TraceDetail{}.service(service).version(it->second.version));
   // The re-registrations (and through them each registry's RemoteEvent
   // fan-out) descend from this change record.
   sim::SpanScope change_scope(simulator().trace(), change_span);

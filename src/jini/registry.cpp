@@ -36,7 +36,7 @@ void JiniRegistry::announce() {
   m.klass = MessageClass::kDiscovery;
   m.payload = Announce{id()};
   network().multicast(m, config_.multicast_redundancy);
-  trace(sim::TraceCategory::kDiscovery, "jini.announce");
+  trace(sim::TraceCategory::kDiscovery, tag::kAnnounce);
 }
 
 std::optional<std::vector<net::MessageType>>
@@ -86,10 +86,11 @@ void JiniRegistry::handle_register(const Message& m) {
   entry.grant(simulator(), config_.registration_lease,
               [this, service] { purge_registration(service); });
   const sim::SpanId stored =
-      trace(sim::TraceCategory::kDiscovery, "jini.registered",
-            "service=" + std::to_string(service) +
-                " version=" + std::to_string(reg.sd.version) +
-                (inserted ? " new" : " renewal"));
+      trace(sim::TraceCategory::kDiscovery, tag::kRegistered,
+            sim::TraceDetail{}
+                .service(service)
+                .version(reg.sd.version)
+                .reason(inserted ? reason::kNew : reason::kRenewal));
   // The response and the RemoteEvent fan-out both descend from the
   // stored registration.
   sim::SpanScope scope(simulator().trace(), stored);
@@ -123,9 +124,8 @@ void JiniRegistry::fire_events(const ServiceDescription& sd) {
         sd.version > 1 ? MessageClass::kUpdate : MessageClass::kDiscovery;
     event.bytes = 48 + discovery::wire_size(sd);
     event.payload = RemoteEvent{sd};
-    event.span = trace(sim::TraceCategory::kUpdate, "jini.event.tx",
-                       "user=" + std::to_string(user) +
-                           " version=" + std::to_string(sd.version));
+    event.span = trace(sim::TraceCategory::kUpdate, tag::kEventTx,
+                       sim::TraceDetail{}.peer(user).version(sd.version));
     if (observer_ != nullptr) {
       observer_->notification_sent(id(), user, sd.version, now());
     }
@@ -134,8 +134,8 @@ void JiniRegistry::fire_events(const ServiceDescription& sd) {
     net::TcpConnection::open_and_send(
         network(), std::move(event), {},
         [this, u = user] {
-          trace(sim::TraceCategory::kUpdate, "jini.event.rex",
-                "user=" + std::to_string(u));
+          trace(sim::TraceCategory::kUpdate, tag::kEventRex,
+                sim::TraceDetail{}.peer(u));
         },
         config_.tcp);
   }
@@ -199,8 +199,8 @@ void JiniRegistry::handle_event_register(const Message& m) {
   if (observer_ != nullptr) {
     observer_->lease_granted(id(), user, entry.lease.expires_at(), now());
   }
-  trace(sim::TraceCategory::kSubscription, "jini.event_registered",
-        "user=" + std::to_string(user));
+  trace(sim::TraceCategory::kSubscription, tag::kEventRegistered,
+        sim::TraceDetail{}.peer(user));
   // NB: no notification about already-registered matching services - the
   // Jini anomaly the paper contrasts FRODO's PR1 against.
 
@@ -232,8 +232,8 @@ void JiniRegistry::handle_renew_event(const Message& m) {
   } else {
     // PR3 as Jini implements it: a bare error; the User must redo registry
     // discovery, event registration and lookup.
-    trace(sim::TraceCategory::kSubscription, "jini.renew_event.unknown",
-          "user=" + std::to_string(renew.user));
+    trace(sim::TraceCategory::kSubscription, tag::kRenewEventUnknown,
+          sim::TraceDetail{}.peer(renew.user));
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr3").inc());
     reply.payload = RenewEventResponse{false};
   }
@@ -242,16 +242,16 @@ void JiniRegistry::handle_renew_event(const Message& m) {
 
 void JiniRegistry::purge_registration(ServiceId service) {
   if (registrations_.erase(service) > 0) {
-    trace(sim::TraceCategory::kLease, "jini.registration.purged",
-          "service=" + std::to_string(service));
+    trace(sim::TraceCategory::kLease, tag::kRegistrationPurged,
+          sim::TraceDetail{}.service(service));
   }
 }
 
 void JiniRegistry::purge_event(NodeId user) {
   if (events_.erase(user)) {
     if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
-    trace(sim::TraceCategory::kLease, "jini.event.purged",
-          "user=" + std::to_string(user));
+    trace(sim::TraceCategory::kLease, tag::kEventPurged,
+          sim::TraceDetail{}.peer(user));
   }
 }
 

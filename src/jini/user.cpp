@@ -83,12 +83,12 @@ void JiniUser::registry_heard(NodeId registry) {
                             [this, registry] {
                               SDCM_PROFILE_SITE(simulator(),
                                                 "timer.jini.registry_silent");
-                              purge_registry(registry, "silent");
+                              purge_registry(registry, reason::kSilent);
                             });
 
   if (inserted) {
-    trace(sim::TraceCategory::kDiscovery, "jini.registry.discovered",
-          "registry=" + std::to_string(registry));
+    trace(sim::TraceCategory::kDiscovery, tag::kRegistryDiscovered,
+          sim::TraceDetail{}.peer(registry));
     // Notification request first, then always a lookup (PR2). The lookup
     // is sent only once the event registration is confirmed: "Jini
     // overcomes this problem by forcing Users to always send queries
@@ -100,16 +100,16 @@ void JiniUser::registry_heard(NodeId registry) {
 }
 
 void JiniUser::depart() {
-  trace(sim::TraceCategory::kDiscovery, "jini.user.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kUserDepart);
   while (!registries_.empty()) {
-    purge_registry(registries_.first_key(), "depart");
+    purge_registry(registries_.first_key(), reason::kDepart);
   }
   request_timer_.stop();
   poll_timer_.stop();
   requests_sent_ = 0;
 }
 
-void JiniUser::purge_registry(NodeId registry, const char* reason) {
+void JiniUser::purge_registry(NodeId registry, sim::Atom why) {
   RegistryState* state = registries_.find(registry);
   if (state == nullptr) return;
   if (state->silence_timer != sim::kInvalidEventId) {
@@ -119,9 +119,8 @@ void JiniUser::purge_registry(NodeId registry, const char* reason) {
     simulator().cancel(state->renew_timer);
   }
   registries_.erase(registry);
-  trace(sim::TraceCategory::kDiscovery, "jini.registry.purged",
-        std::string("registry=") + std::to_string(registry) +
-            " reason=" + reason);
+  trace(sim::TraceCategory::kDiscovery, tag::kRegistryPurged,
+        sim::TraceDetail{}.peer(registry).reason(why));
   // The cached service description is kept: Jini has no PR5.
 }
 
@@ -134,7 +133,9 @@ void JiniUser::register_event(NodeId registry) {
   m.payload = EventRegister{id(), requirement_};
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
-      [this, registry] { purge_registry(registry, "event-register-rex"); },
+      [this, registry] {
+        purge_registry(registry, reason::kEventRegisterRex);
+      },
       config_.tcp);
 }
 
@@ -145,11 +146,11 @@ void JiniUser::send_lookup(NodeId registry) {
   m.type = msg::kLookup;
   m.klass = MessageClass::kControl;
   m.payload = Lookup{id(), requirement_};
-  trace(sim::TraceCategory::kDiscovery, "jini.lookup.tx",
-        "registry=" + std::to_string(registry));
+  trace(sim::TraceCategory::kDiscovery, tag::kLookupTx,
+        sim::TraceDetail{}.peer(registry));
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
-      [this, registry] { purge_registry(registry, "lookup-rex"); },
+      [this, registry] { purge_registry(registry, reason::kLookupRex); },
       config_.tcp);
 }
 
@@ -181,7 +182,7 @@ void JiniUser::renew_event(NodeId registry) {
   m.payload = RenewEvent{id()};
   net::TcpConnection::open_and_send(
       network(), std::move(m), {},
-      [this, registry] { purge_registry(registry, "renew-event-rex"); },
+      [this, registry] { purge_registry(registry, reason::kRenewEventRex); },
       config_.tcp);
 }
 
@@ -203,9 +204,9 @@ void JiniUser::handle_renew_event_response(const Message& m) {
     // PR3, Jini-style: bare error; purge and redo discovery / event
     // registration / lookup. Announcements (every 120 s) bring the
     // registry back quickly, and the lookup then recovers the state.
-    trace(sim::TraceCategory::kSubscription, "jini.event.lapsed",
-          "registry=" + std::to_string(registry));
-    purge_registry(registry, "event-lapsed");
+    trace(sim::TraceCategory::kSubscription, tag::kEventLapsed,
+          sim::TraceDetail{}.peer(registry));
+    purge_registry(registry, reason::kEventLapsed);
   }
 }
 
@@ -216,8 +217,8 @@ void JiniUser::handle_lookup_response(const Message& m) {
 
 void JiniUser::handle_remote_event(const Message& m) {
   const auto& event = m.as<RemoteEvent>();
-  trace(sim::TraceCategory::kUpdate, "jini.event.rx",
-        "version=" + std::to_string(event.sd.version));
+  trace(sim::TraceCategory::kUpdate, tag::kEventRx,
+        sim::TraceDetail{}.version(event.sd.version));
   store(event.sd);
 }
 
@@ -225,8 +226,8 @@ void JiniUser::store(const ServiceDescription& sd) {
   if (!requirement_.matches(sd)) return;
   if (sd_.has_value() && sd_->version >= sd.version) return;
   sd_ = sd;
-  trace(sim::TraceCategory::kUpdate, "jini.description.stored",
-        "version=" + std::to_string(sd.version));
+  trace(sim::TraceCategory::kUpdate, tag::kDescriptionStored,
+        sim::TraceDetail{}.version(sd.version));
   if (observer_ != nullptr) {
     observer_->user_version(id(), sd.version, now());
     observer_->user_reached(id(), sd.version, now());

@@ -53,13 +53,13 @@ void MdnsResponder::shutdown() {
     m.payload = Goodbye{id(), service};
     send_multicast(m);
   }
-  trace(sim::TraceCategory::kDiscovery, "mdns.shutdown");
+  trace(sim::TraceCategory::kDiscovery, tag::kShutdown);
 }
 
 void MdnsResponder::depart() {
   running_ = false;
   announce_timer_.stop();
-  trace(sim::TraceCategory::kDiscovery, "mdns.responder.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kResponderDepart);
 }
 
 void MdnsResponder::announce_now() {
@@ -82,13 +82,11 @@ void MdnsResponder::announce_service(const ServiceDescription& sd,
   m.bytes = 48 + discovery::wire_size(sd);
   m.payload = Announce{id(), sd};
   if (klass == MessageClass::kUpdate) {
-    m.span = trace(sim::TraceCategory::kUpdate, "mdns.update.tx",
-                   "service=" + std::to_string(sd.id) +
-                       " version=" + std::to_string(sd.version));
+    m.span = trace(sim::TraceCategory::kUpdate, tag::kUpdateTx,
+                   sim::TraceDetail{}.service(sd.id).version(sd.version));
   } else {
-    trace(sim::TraceCategory::kDiscovery, "mdns.announce.tx",
-          "service=" + std::to_string(sd.id) +
-              " version=" + std::to_string(sd.version));
+    trace(sim::TraceCategory::kDiscovery, tag::kAnnounceTx,
+          sim::TraceDetail{}.service(sd.id).version(sd.version));
   }
   send_multicast(m, copies);
 }
@@ -113,9 +111,8 @@ void MdnsResponder::change_service(ServiceId service,
   auto& sd = it->second;
   ++sd.version;
   const sim::SpanId change_span =
-      trace(sim::TraceCategory::kUpdate, "mdns.service_changed",
-            "service=" + std::to_string(sd.id) +
-                " version=" + std::to_string(sd.version));
+      trace(sim::TraceCategory::kUpdate, tag::kServiceChanged,
+            sim::TraceDetail{}.service(sd.id).version(sd.version));
   // The repeated update announcements descend from this change record.
   sim::SpanScope change_scope(simulator().trace(), change_span);
   if (observer_ != nullptr) observer_->service_changed(sd.version, now());
@@ -166,7 +163,7 @@ void MdnsListener::start() {
 }
 
 void MdnsListener::depart() {
-  trace(sim::TraceCategory::kDiscovery, "mdns.listener.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kListenerDepart);
   sd_.reset();
   if (ttl_expiry_ != sim::kInvalidEventId) {
     simulator().cancel(ttl_expiry_);
@@ -178,7 +175,7 @@ void MdnsListener::depart() {
 void MdnsListener::send_query() {
   auto m = make_message(msg::kQuery, MessageClass::kDiscovery);
   m.payload = Query{id(), interest_.device_type, interest_.service_type};
-  trace(sim::TraceCategory::kDiscovery, "mdns.query.tx");
+  trace(sim::TraceCategory::kDiscovery, tag::kQueryTx);
   send_multicast(m);
 }
 
@@ -193,7 +190,7 @@ void MdnsListener::on_message(const Message& m) {
   } else if (m.type == msg::kGoodbye) {
     const auto& bye = m.as<Goodbye>();
     if (sd_.has_value() && bye.responder == sd_->manager) {
-      purge("goodbye");
+      purge(reason::kGoodbye);
     }
   }
 }
@@ -208,9 +205,8 @@ void MdnsListener::handle_announce(const Message& m) {
   }
   if (!sd_.has_value() || announce.sd.version > sd_->version) {
     sd_ = announce.sd;
-    trace(sim::TraceCategory::kUpdate, "mdns.record.stored",
-          "service=" + std::to_string(sd_->id) +
-              " version=" + std::to_string(sd_->version));
+    trace(sim::TraceCategory::kUpdate, tag::kRecordStored,
+          sim::TraceDetail{}.service(sd_->id).version(sd_->version));
     if (observer_ != nullptr) {
       observer_->user_version(id(), sd_->version, now());
       observer_->user_reached(id(), sd_->version, now());
@@ -225,12 +221,13 @@ void MdnsListener::refresh_ttl() {
   simulator().reschedule_in(ttl_expiry_, config_.cache_ttl, [this] {
     SDCM_PROFILE_SITE(simulator(), "timer.mdns.ttl_expiry");
     ttl_expiry_ = sim::kInvalidEventId;
-    purge("ttl-expired");
+    purge(reason::kTtlExpired);
   });
 }
 
-void MdnsListener::purge(const char* reason) {
-  trace(sim::TraceCategory::kDiscovery, "mdns.record.purged", reason);
+void MdnsListener::purge(sim::Atom why) {
+  trace(sim::TraceCategory::kDiscovery, tag::kRecordPurged,
+        sim::TraceDetail{}.reason(why));
   sd_.reset();
   if (ttl_expiry_ != sim::kInvalidEventId) {
     simulator().cancel(ttl_expiry_);

@@ -9,6 +9,20 @@
 
 namespace sdcm::net {
 
+namespace {
+
+/// A failure mode as the detail atom of interface.down / interface.up.
+sim::Atom mode_atom(FailureMode m) {
+  static const sim::Atom atoms[] = {
+      sim::Atom::intern(to_string(FailureMode::kNone)),
+      sim::Atom::intern(to_string(FailureMode::kTransmitter)),
+      sim::Atom::intern(to_string(FailureMode::kReceiver)),
+      sim::Atom::intern(to_string(FailureMode::kBoth))};
+  return atoms[static_cast<std::size_t>(m)];
+}
+
+}  // namespace
+
 std::string_view to_string(FailureMode m) noexcept {
   switch (m) {
     case FailureMode::kNone: return "none";
@@ -92,7 +106,8 @@ void apply_failures(sim::Simulator& simulator, Network& network,
           }
           simulator.trace().record(
               simulator.now(), ep.node, sim::TraceCategory::kFailure,
-              "interface.down", std::string(to_string(ep.mode)));
+              tag::kInterfaceDown,
+              sim::TraceDetail{}.reason(mode_atom(ep.mode)));
         });
     simulator.schedule_at(
         ep.end(), [&simulator, &network, ep, tx, rx, depth]() {
@@ -103,7 +118,7 @@ void apply_failures(sim::Simulator& simulator, Network& network,
           if (rx && --nesting.rx <= 0) iface.set_rx(true);
           simulator.trace().record(
               simulator.now(), ep.node, sim::TraceCategory::kFailure,
-              "interface.up", std::string(to_string(ep.mode)));
+              tag::kInterfaceUp, sim::TraceDetail{}.reason(mode_atom(ep.mode)));
         });
   }
 }

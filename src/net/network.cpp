@@ -35,8 +35,10 @@ class FunctionSink final : public MessageSink {
   Network::Handler handler_;
 };
 
-/// The message type's spelling as a trace detail string.
-std::string type_detail(const Message& m) { return std::string(m.type.str()); }
+/// A net.drop.* record's detail: the dropped message's type.
+sim::TraceDetail type_detail(const Message& m) {
+  return sim::TraceDetail{}.type(m.type);
+}
 
 /// Inserts a {seq, id} entry into a seq-sorted subscriber list. Attach
 /// hands out monotonically increasing seqs, so the common case is an
@@ -416,7 +418,7 @@ void Network::deliver_multicast_copy(
   if (!dport.iface.rx_up() || lost) {
     ++sim_.kernel_stats().udp_deliveries_dropped_rx;
     sim_.trace().record_child(m.span, sim_.now(), m.dst,
-                              sim::TraceCategory::kTransport, "net.drop.rx",
+                              sim::TraceCategory::kTransport, tag::kDropRx,
                               type_detail(m));
     return;
   }
@@ -439,7 +441,7 @@ void Network::multicast(const Message& msg, int redundant_copies) {
     if (!src.iface.tx_up()) {
       ++kstats.udp_copies_dropped_tx;
       sim_.trace().record_child(cause, sim_.now(), msg.src,
-                                sim::TraceCategory::kTransport, "net.drop.tx",
+                                sim::TraceCategory::kTransport, tag::kDropTx,
                                 type_detail(msg));
       continue;
     }
@@ -452,7 +454,7 @@ void Network::multicast(const Message& msg, int redundant_copies) {
         SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.dropped").inc());
         sim_.trace().record_child(cause, sim_.now(), msg.src,
                                   sim::TraceCategory::kTransport,
-                                  "net.drop.capacity", type_detail(msg));
+                                  tag::kDropCapacity, type_detail(msg));
         continue;
       }
       shaping = *admitted;
@@ -500,7 +502,7 @@ bool Network::transmit(Message msg, bool deliver,
   if (!src.iface.tx_up()) {
     ++(tcp ? kstats.tcp_dropped : kstats.udp_copies_dropped_tx);
     sim_.trace().record_child(msg.span, sim_.now(), msg.src,
-                              sim::TraceCategory::kTransport, "net.drop.tx",
+                              sim::TraceCategory::kTransport, tag::kDropTx,
                               type_detail(msg));
     if (on_result) {
       sim_.schedule_in(delay, [this, span = msg.span,
@@ -524,7 +526,7 @@ bool Network::transmit(Message msg, bool deliver,
       SDCM_OBS_ONLY(sim_.obs().counter("net.capacity.dropped").inc());
       sim_.trace().record_child(msg.span, sim_.now(), msg.src,
                                 sim::TraceCategory::kTransport,
-                                "net.drop.capacity", type_detail(msg));
+                                tag::kDropCapacity, type_detail(msg));
       if (on_result) {
         sim_.schedule_in(delay, [this, span = msg.span,
                                  SDCM_PROFILE_ONLY(t = msg.type.id(), )
@@ -555,7 +557,7 @@ bool Network::transmit(Message msg, bool deliver,
       sim::KernelStats& ks = sim_.kernel_stats();
       ++(tcp ? ks.tcp_dropped : ks.udp_deliveries_dropped_rx);
       sim_.trace().record_child(m.span, sim_.now(), m.dst,
-                                sim::TraceCategory::kTransport, "net.drop.rx",
+                                sim::TraceCategory::kTransport, tag::kDropRx,
                                 type_detail(m));
     } else if (deliver) {
       dport.sink->handle_message(m);

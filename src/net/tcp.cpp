@@ -72,8 +72,8 @@ void TcpConnection::open(Network& network, NodeId initiator, NodeId responder,
     }
     conn->net_.simulator().trace().record_child(
         conn->span_, conn->net_.simulator().now(), conn->initiator_,
-        sim::TraceCategory::kTransport, "tcp.rex",
-        "to=" + std::to_string(conn->responder_));
+        sim::TraceCategory::kTransport, tag::kTcpRex,
+        sim::TraceDetail{}.peer(conn->responder_));
     SDCM_OBS_ONLY(conn->net_.simulator().obs().counter("tcp.rex").inc());
     if (conn->on_rex_) {
       sim::SpanScope scope(conn->net_.simulator().trace(), conn->span_);

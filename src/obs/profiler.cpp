@@ -7,7 +7,7 @@
 #include <utility>
 #include <vector>
 
-#include "sdcm/net/message_type.hpp"
+#include "sdcm/sim/atom.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
@@ -23,11 +23,11 @@ namespace {
 constexpr const char* kUnattributed = "(unattributed)";
 
 /// Resolves a site id to its interned spelling. Ids come from
-/// MessageType::intern, so anything out of range (or the empty atom)
+/// sim::Atom::intern, so anything out of range (or the empty atom)
 /// means "the callback never attributed itself".
 std::string site_name(std::uint32_t site) {
-  if (site == 0 || site >= net::MessageType::count()) return kUnattributed;
-  return std::string(net::MessageType::at(site).str());
+  if (site == 0 || site >= sim::Atom::count()) return kUnattributed;
+  return std::string(sim::Atom::at(site).str());
 }
 
 /// Merges `from` (sorted by upper) into `into` (sorted by upper),
@@ -80,8 +80,13 @@ MemorySample sample_memory() noexcept {
 }
 
 void Profiler::phase_record(std::uint32_t site, std::uint64_t ns) {
-  if (site >= phases_.size()) phases_.resize(site + 1);
-  Phase& p = phases_[site];
+  auto it = std::find_if(phases_.begin(), phases_.end(),
+                         [site](const Phase& p) { return p.site == site; });
+  if (it == phases_.end()) {
+    phases_.push_back(Phase{site});
+    it = phases_.end() - 1;
+  }
+  Phase& p = *it;
   ++p.count;
   p.total_ns += ns;
   const MemorySample mem = sample_memory();
@@ -154,11 +159,9 @@ RunProfile Profiler::snapshot() const {
     }
     out.events.push_back(std::move(entry));
   }
-  for (std::size_t id = 0; id < phases_.size(); ++id) {
-    const Phase& p = phases_[id];
-    if (p.count == 0) continue;
+  for (const Phase& p : phases_) {
     PhaseEntry entry;
-    entry.name = site_name(static_cast<std::uint32_t>(id));
+    entry.name = site_name(p.site);
     entry.count = p.count;
     entry.total_ns = p.total_ns;
     entry.peak_rss_kb = p.peak_rss_kb;

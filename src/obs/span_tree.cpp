@@ -32,29 +32,31 @@ std::optional<std::string> check_span_forest(
   sim::SpanId previous = sim::kNoSpan;
   for (std::size_t i = 0; i < records.size(); ++i) {
     const sim::TraceRecord& r = records[i];
-    const std::string where =
-        "record " + std::to_string(i) + " (" + r.event + ")";
+    const auto where = [&] {
+      return "record " + std::to_string(i) + " (" +
+             std::string(r.event.str()) + ")";
+    };
     if (r.span == sim::kNoSpan) {
-      return where + ": span id 0";
+      return where() + ": span id 0";
     }
     if (r.span <= previous) {
-      return where + ": span ids not strictly increasing (" +
+      return where() + ": span ids not strictly increasing (" +
              std::to_string(r.span) + " after " + std::to_string(previous) +
              ")";
     }
     previous = r.span;
     if (r.parent != sim::kNoSpan) {
       if (r.parent >= r.span) {
-        return where + ": parent " + std::to_string(r.parent) +
+        return where() + ": parent " + std::to_string(r.parent) +
                " not smaller than span " + std::to_string(r.span);
       }
       const auto it = by_span.find(r.parent);
       if (it == by_span.end()) {
-        return where + ": parent " + std::to_string(r.parent) +
+        return where() + ": parent " + std::to_string(r.parent) +
                " does not exist";
       }
       if (it->second->at > r.at) {
-        return where + ": parent at " + sim::format_time(it->second->at) +
+        return where() + ": parent at " + sim::format_time(it->second->at) +
                " is later than child at " + sim::format_time(r.at);
       }
     }
@@ -70,13 +72,14 @@ void print_subtree(std::ostream& out, const SpanForest& forest,
   const sim::TraceRecord& r = *forest.nodes[index].record;
   out << '[' << sim::format_time(r.at) << "] ";
   for (int i = 0; i < depth; ++i) out << "  ";
-  out << "span " << r.span << " node " << r.node << ' ' << r.event;
+  out << "span " << r.span << " node " << r.node << ' ' << r.event.str();
   const SpanForest::Node* parent =
       r.parent == sim::kNoSpan ? nullptr : forest.find(r.parent);
   if (parent != nullptr) {
     out << " (+" << (r.at - parent->record->at) << " us)";
   }
-  if (!r.detail.empty()) out << "  " << r.detail;
+  const std::string detail = sim::detail_text(r.event, r.detail);
+  if (!detail.empty()) out << "  " << detail;
   out << '\n';
   for (const std::size_t child : forest.nodes[index].children) {
     print_subtree(out, forest, child, depth + 1);

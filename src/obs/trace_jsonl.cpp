@@ -1,7 +1,6 @@
 #include "sdcm/obs/trace_jsonl.hpp"
 
-#include <cinttypes>
-#include <cstdio>
+#include <charconv>
 #include <istream>
 #include <ostream>
 
@@ -9,16 +8,11 @@ namespace sdcm::obs {
 
 namespace {
 
-void append_u64(std::string& out, std::uint64_t v) {
+template <typename Int>
+void append_int(std::string& out, Int v) {
   char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out += buf;
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out += buf;
+  const auto end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out.append(buf, end);
 }
 
 void append_quoted(std::string& out, std::string_view text) {
@@ -91,24 +85,36 @@ class LineParser {
   std::size_t pos_ = 0;
 };
 
-}  // namespace
-
-std::string trace_record_to_jsonl(const sim::TraceRecord& record) {
-  std::string line = "{\"at\":";
-  append_i64(line, record.at);
+/// Appends one record's JSONL line (no newline) to `line`. The detail
+/// text is rendered into `scratch` first, because it is escaped on the
+/// way into the line.
+void append_jsonl(std::string& line, std::string& scratch,
+                  const sim::TraceRecord& record) {
+  line += "{\"at\":";
+  append_int(line, record.at);
   line += ",\"node\":";
-  append_u64(line, record.node);
+  append_int(line, record.node);
   line += ",\"category\":";
   append_quoted(line, to_string(record.category));
   line += ",\"span\":";
-  append_u64(line, record.span);
+  append_int(line, record.span);
   line += ",\"parent\":";
-  append_u64(line, record.parent);
+  append_int(line, record.parent);
   line += ",\"event\":";
-  append_quoted(line, record.event);
+  append_quoted(line, record.event.str());
   line += ",\"detail\":";
-  append_quoted(line, record.detail);
+  scratch.clear();
+  sim::append_detail_text(scratch, record.event, record.detail);
+  append_quoted(line, scratch);
   line += '}';
+}
+
+}  // namespace
+
+std::string trace_record_to_jsonl(const sim::TraceRecord& record) {
+  std::string line;
+  std::string scratch;
+  append_jsonl(line, scratch, record);
   return line;
 }
 
@@ -118,14 +124,16 @@ std::optional<sim::TraceRecord> parse_trace_record(std::string_view line,
   sim::TraceRecord record;
   std::uint64_t node = 0;
   std::string category;
+  std::string event;
+  std::string detail;
   const bool shape =
       p.literal("{\"at\":") && p.i64(record.at) &&
       p.literal(",\"node\":") && p.u64(node) &&
       p.literal(",\"category\":") && p.quoted(category) &&
       p.literal(",\"span\":") && p.u64(record.span) &&
       p.literal(",\"parent\":") && p.u64(record.parent) &&
-      p.literal(",\"event\":") && p.quoted(record.event) &&
-      p.literal(",\"detail\":") && p.quoted(record.detail) &&
+      p.literal(",\"event\":") && p.quoted(event) &&
+      p.literal(",\"detail\":") && p.quoted(detail) &&
       p.literal("}") && p.at_end();
   if (!shape) {
     error = "malformed trace record line";
@@ -142,15 +150,22 @@ std::optional<sim::TraceRecord> parse_trace_record(std::string_view line,
     return std::nullopt;
   }
   record.category = *cat;
+  record.event = sim::Atom::intern(event);
+  if (!sim::parse_detail_text(record.event, detail, record.detail)) {
+    error = "detail '" + detail + "' does not fit the fields of event '" +
+            event + "'";
+    return std::nullopt;
+  }
   return record;
 }
 
 void JsonlTraceWriter::on_record(const sim::TraceRecord& record) {
-  std::string line = trace_record_to_jsonl(record);
-  line += '\n';
-  out_ << line;
+  line_.clear();
+  append_jsonl(line_, detail_, record);
+  line_ += '\n';
+  out_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   ++records_;
-  bytes_ += line.size();
+  bytes_ += line_.size();
 }
 
 bool read_trace_jsonl(std::istream& in, sim::TraceLog& log,

@@ -1,4 +1,4 @@
-#include "sdcm/net/message_type.hpp"
+#include "sdcm/sim/atom.hpp"
 
 #include <atomic>
 #include <cassert>
@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-namespace sdcm::net {
+namespace sdcm::sim {
 
 namespace {
 
@@ -22,12 +22,12 @@ namespace {
 struct AtomTable {
   std::mutex mutex;
   std::vector<std::string> names;
-  std::unordered_map<std::string_view, MessageType::Id> index;
-  std::atomic<MessageType::Id> size{0};
+  std::unordered_map<std::string_view, Atom::Id> index;
+  std::atomic<Atom::Id> size{0};
 
   AtomTable() {
-    names.reserve(MessageType::kMaxAtoms);
-    names.emplace_back();  // atom 0: the empty type
+    names.reserve(Atom::kMaxAtoms);
+    names.emplace_back();  // atom 0: the empty name
     index.emplace(std::string_view{names.back()}, 0);
     size.store(1, std::memory_order_release);
   }
@@ -40,38 +40,38 @@ AtomTable& table() {
 
 }  // namespace
 
-MessageType MessageType::intern(std::string_view name) {
+Atom Atom::intern(std::string_view name) {
   AtomTable& t = table();
   const std::lock_guard<std::mutex> lock(t.mutex);
   if (const auto it = t.index.find(name); it != t.index.end()) {
-    return MessageType{it->second};
+    return Atom{it->second};
   }
   if (t.names.size() >= kMaxAtoms) {
-    throw std::length_error("MessageType atom table full");
+    throw std::length_error("atom table full");
   }
   const auto id = static_cast<Id>(t.names.size());
   t.names.emplace_back(name);
   t.index.emplace(std::string_view{t.names.back()}, id);
   t.size.store(id + 1, std::memory_order_release);
-  return MessageType{id};
+  return Atom{id};
 }
 
-std::optional<MessageType> MessageType::lookup(std::string_view name) noexcept {
+std::optional<Atom> Atom::lookup(std::string_view name) noexcept {
   AtomTable& t = table();
   const std::lock_guard<std::mutex> lock(t.mutex);
   const auto it = t.index.find(name);
   if (it == t.index.end()) return std::nullopt;
-  return MessageType{it->second};
+  return Atom{it->second};
 }
 
-MessageType::Id MessageType::count() noexcept {
+Atom::Id Atom::count() noexcept {
   return table().size.load(std::memory_order_acquire);
 }
 
-std::string_view MessageType::str() const noexcept {
+std::string_view Atom::str() const noexcept {
   const AtomTable& t = table();
   assert(id_ < t.size.load(std::memory_order_acquire));
   return t.names[id_];
 }
 
-}  // namespace sdcm::net
+}  // namespace sdcm::sim

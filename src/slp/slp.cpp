@@ -88,8 +88,8 @@ void DirectoryAgent::on_message(const Message& m) {
 
 void DirectoryAgent::purge(ServiceId service) {
   if (registrations_.erase(service) > 0) {
-    trace(sim::TraceCategory::kLease, "slp.registration.purged",
-          "service=" + std::to_string(service));
+    trace(sim::TraceCategory::kLease, tag::kRegistrationPurged,
+          sim::TraceDetail{}.service(service));
   }
 }
 
@@ -145,9 +145,8 @@ void ServiceAgent::register_service(ServiceId service) {
 void ServiceAgent::change_service(ServiceId service) {
   auto& sd = services_.at(service);
   ++sd.version;
-  trace(sim::TraceCategory::kUpdate, "slp.service_changed",
-        "service=" + std::to_string(service) +
-            " version=" + std::to_string(sd.version));
+  trace(sim::TraceCategory::kUpdate, tag::kServiceChanged,
+        sim::TraceDetail{}.service(service).version(sd.version));
   if (observer_ != nullptr) observer_->service_changed(sd.version, now());
   // No notification: the DA copy is refreshed, UAs learn on their next
   // poll (CM2 only - SLP's consistency maintenance per Section 4.2).
@@ -162,14 +161,14 @@ void ServiceAgent::da_heard(NodeId da) {
     drop_da();
   });
   if (fresh) {
-    trace(sim::TraceCategory::kDiscovery, "slp.da.discovered",
-          "da=" + std::to_string(da));
+    trace(sim::TraceCategory::kDiscovery, tag::kDaDiscovered,
+          sim::TraceDetail{}.peer(da));
     register_all();
   }
 }
 
 void ServiceAgent::drop_da() {
-  trace(sim::TraceCategory::kDiscovery, "slp.da.dropped");
+  trace(sim::TraceCategory::kDiscovery, tag::kDaDropped);
   da_ = sim::kNoNode;
   da_timeout_ = sim::kInvalidEventId;
 }
@@ -250,13 +249,13 @@ void UserAgent::da_heard(NodeId da) {
     drop_da();
   });
   if (fresh) {
-    trace(sim::TraceCategory::kDiscovery, "slp.da.discovered",
-          "da=" + std::to_string(da));
+    trace(sim::TraceCategory::kDiscovery, tag::kDaDiscovered,
+          sim::TraceDetail{}.peer(da));
   }
 }
 
 void UserAgent::drop_da() {
-  trace(sim::TraceCategory::kDiscovery, "slp.da.dropped");
+  trace(sim::TraceCategory::kDiscovery, tag::kDaDropped);
   da_ = sim::kNoNode;
   da_timeout_ = sim::kInvalidEventId;
 }
@@ -274,8 +273,8 @@ void UserAgent::on_message(const Message& m) {
     if (!rply.found || rply.sd.service_type != service_type_) return;
     if (sd_.has_value() && sd_->version >= rply.sd.version) return;
     sd_ = rply.sd;
-    trace(sim::TraceCategory::kUpdate, "slp.description.stored",
-          "version=" + std::to_string(rply.sd.version));
+    trace(sim::TraceCategory::kUpdate, tag::kDescriptionStored,
+          sim::TraceDetail{}.version(rply.sd.version));
     if (observer_ != nullptr) {
       observer_->user_version(id(), rply.sd.version, now());
       observer_->user_reached(id(), rply.sd.version, now());

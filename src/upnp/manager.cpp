@@ -53,7 +53,7 @@ void UpnpManager::shutdown() {
     }
   }
   subs_.clear();
-  trace(sim::TraceCategory::kDiscovery, "upnp.shutdown");
+  trace(sim::TraceCategory::kDiscovery, tag::kShutdown);
 }
 
 void UpnpManager::depart() {
@@ -66,7 +66,7 @@ void UpnpManager::depart() {
     }
   }
   subs_.clear();
-  trace(sim::TraceCategory::kDiscovery, "upnp.manager.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerDepart);
 }
 
 void UpnpManager::announce_now() {
@@ -82,7 +82,7 @@ void UpnpManager::announce_all() {
     m.payload = Alive{id(), service, sd.device_type, sd.service_type};
     network().multicast(m, config_.multicast_redundancy);
   }
-  trace(sim::TraceCategory::kDiscovery, "upnp.announce");
+  trace(sim::TraceCategory::kDiscovery, tag::kAnnounce);
 }
 
 const ServiceDescription& UpnpManager::service(ServiceId service) const {
@@ -118,9 +118,8 @@ void UpnpManager::change_service(ServiceId service,
 void UpnpManager::bumped(ServiceDescription& sd) {
   ++sd.version;
   const sim::SpanId change_span =
-      trace(sim::TraceCategory::kUpdate, "upnp.service_changed",
-            "service=" + std::to_string(sd.id) +
-                " version=" + std::to_string(sd.version));
+      trace(sim::TraceCategory::kUpdate, tag::kServiceChanged,
+            sim::TraceDetail{}.service(sd.id).version(sd.version));
   // The GENA notifications (and through them each User's description
   // re-fetch) descend from this change record.
   sim::SpanScope change_scope(simulator().trace(), change_span);
@@ -145,8 +144,8 @@ void UpnpManager::notify_subscriber(ServiceId service, NodeId user) {
   m.klass = MessageClass::kUpdate;
   m.bytes = 64;  // invalidation only: "a change has occurred"
   m.payload = Notify{service, sd.version};
-  m.span = trace(sim::TraceCategory::kUpdate, "upnp.notify.tx",
-                 "user=" + std::to_string(user));
+  m.span = trace(sim::TraceCategory::kUpdate, tag::kNotifyTx,
+                 sim::TraceDetail{}.peer(user));
   if (observer_ != nullptr) {
     observer_->notification_sent(id(), user, sd.version, now());
   }
@@ -155,13 +154,13 @@ void UpnpManager::notify_subscriber(ServiceId service, NodeId user) {
       network(), std::move(m), /*on_acked=*/{},
       /*on_rex=*/
       [this, service, user] {
-        purge_subscriber(service, user, "notify-rex");
+        purge_subscriber(service, user, reason::kNotifyRex);
       },
       config_.tcp);
 }
 
 void UpnpManager::purge_subscriber(ServiceId service, NodeId user,
-                                   const char* reason) {
+                                   sim::Atom why) {
   const auto it = subs_.find(service);
   if (it == subs_.end()) return;
   Subscription* sub = it->second.find(user);
@@ -169,8 +168,8 @@ void UpnpManager::purge_subscriber(ServiceId service, NodeId user,
   sub->cancel(simulator());
   it->second.erase(user);
   if (observer_ != nullptr) observer_->lease_dropped(id(), user, now());
-  trace(sim::TraceCategory::kSubscription, "upnp.subscriber.purged",
-        "user=" + std::to_string(user) + " reason=" + reason);
+  trace(sim::TraceCategory::kSubscription, tag::kSubscriberPurged,
+        sim::TraceDetail{}.peer(user).reason(why));
 }
 
 std::optional<std::vector<net::MessageType>> UpnpManager::multicast_interests()
@@ -250,13 +249,14 @@ void UpnpManager::handle_subscribe(const Message& m) {
   const NodeId user = sub.user;
   const ServiceId service = sub.service;
   entry.grant(
-      simulator(), config_.subscription_lease,
-      [this, service, user] { purge_subscriber(service, user, "expired"); });
+      simulator(), config_.subscription_lease, [this, service, user] {
+        purge_subscriber(service, user, reason::kExpired);
+      });
   if (observer_ != nullptr) {
     observer_->lease_granted(id(), user, entry.lease.expires_at(), now());
   }
-  trace(sim::TraceCategory::kSubscription, "upnp.subscribed",
-        "user=" + std::to_string(user));
+  trace(sim::TraceCategory::kSubscription, tag::kSubscribed,
+        sim::TraceDetail{}.peer(user));
 
   reply.payload =
       SubscribeResponse{sub.service, true, config_.subscription_lease};
@@ -279,9 +279,9 @@ void UpnpManager::handle_renew(const Message& m) {
     auto& entry = it->second.at(renew.user);
     const NodeId user = renew.user;
     const ServiceId service = renew.service;
-    entry.renew(
-        simulator(),
-        [this, service, user] { purge_subscriber(service, user, "expired"); });
+    entry.renew(simulator(), [this, service, user] {
+      purge_subscriber(service, user, reason::kExpired);
+    });
     if (observer_ != nullptr) {
       observer_->lease_granted(id(), user, entry.lease.expires_at(), now());
     }
@@ -290,8 +290,8 @@ void UpnpManager::handle_renew(const Message& m) {
     // PR4: tell the purged User to resubscribe (if enabled; the ablation
     // variant silently ignores unknown renewals).
     if (!config_.enable_pr4) return;
-    trace(sim::TraceCategory::kSubscription, "upnp.renew.unknown",
-          "user=" + std::to_string(renew.user));
+    trace(sim::TraceCategory::kSubscription, tag::kRenewUnknown,
+          sim::TraceDetail{}.peer(renew.user));
     reply.payload = RenewResponse{renew.service, false};
   }
   m.conn->send(std::move(reply));

@@ -42,7 +42,7 @@ void UpnpUser::start() {
 }
 
 void UpnpUser::depart() {
-  trace(sim::TraceCategory::kDiscovery, "upnp.user.depart");
+  trace(sim::TraceCategory::kDiscovery, tag::kUserDepart);
   manager_ = sim::kNoNode;
   service_ = 0;
   sd_.reset();
@@ -68,7 +68,7 @@ void UpnpUser::send_msearch() {
   m.klass = MessageClass::kDiscovery;
   m.payload = MSearch{id(), requirement_.device_type, requirement_.service_type};
   network().multicast(m, config_.multicast_redundancy);
-  trace(sim::TraceCategory::kDiscovery, "upnp.msearch.tx");
+  trace(sim::TraceCategory::kDiscovery, tag::kMSearchTx);
 }
 
 std::optional<std::vector<net::MessageType>> UpnpUser::multicast_interests()
@@ -105,8 +105,8 @@ void UpnpUser::handle_presence(NodeId manager, discovery::ServiceId service,
   if (manager_ == sim::kNoNode) {
     manager_ = manager;
     service_ = service;
-    trace(sim::TraceCategory::kDiscovery, "upnp.manager.discovered",
-          "manager=" + std::to_string(manager));
+    trace(sim::TraceCategory::kDiscovery, tag::kManagerDiscovered,
+          sim::TraceDetail{}.peer(manager));
   } else if (manager != manager_) {
     return;  // single-manager scenario; ignore other providers
   }
@@ -131,14 +131,14 @@ void UpnpUser::fetch_description() {
   m.klass = sd_.has_value() ? MessageClass::kUpdate : MessageClass::kDiscovery;
   m.bytes = 64;
   m.payload = GetDescription{id(), service_};
-  m.span = trace(sim::TraceCategory::kUpdate, "upnp.get.tx");
+  m.span = trace(sim::TraceCategory::kUpdate, tag::kGetTx);
   net::TcpConnection::open_and_send(
       network(), std::move(m), /*on_acked=*/{},
       /*on_rex=*/
       [this] {
         fetch_in_flight_ = false;
         fetch_pending_ = true;
-        trace(sim::TraceCategory::kUpdate, "upnp.get.rex");
+        trace(sim::TraceCategory::kUpdate, tag::kGetRex);
         if (retry_timer_ == sim::kInvalidEventId && has_manager()) {
           retry_timer_ =
               simulator().schedule_in(config_.retry_period, [this] {
@@ -160,8 +160,8 @@ void UpnpUser::handle_description(const Message& m) {
   if (m.src != manager_ || desc.sd.id != service_) return;
   sd_ = desc.sd;
   refresh_cache_lease();
-  trace(sim::TraceCategory::kUpdate, "upnp.description.stored",
-        "version=" + std::to_string(desc.sd.version));
+  trace(sim::TraceCategory::kUpdate, tag::kDescriptionStored,
+        sim::TraceDetail{}.version(desc.sd.version));
   if (observer_ != nullptr) {
     observer_->user_version(id(), desc.sd.version, now());
     observer_->user_reached(id(), desc.sd.version, now());
@@ -177,7 +177,7 @@ void UpnpUser::subscribe() {
   m.type = msg::kSubscribe;
   m.klass = MessageClass::kControl;
   m.payload = Subscribe{id(), service_};
-  trace(sim::TraceCategory::kSubscription, "upnp.subscribe.tx");
+  trace(sim::TraceCategory::kSubscription, tag::kSubscribeTx);
   net::TcpConnection::open_and_send(
       network(), std::move(m), /*on_acked=*/{},
       /*on_rex=*/
@@ -204,7 +204,7 @@ void UpnpUser::handle_subscribe_response(const Message& m) {
   refresh_cache_lease();
   subscribed_ = true;
   sub_lease_ = discovery::Lease{now(), resp.lease};
-  trace(sim::TraceCategory::kSubscription, "upnp.subscribed");
+  trace(sim::TraceCategory::kSubscription, tag::kSubscribed);
 
   const auto renew_after = static_cast<sim::SimDuration>(
       static_cast<double>(resp.lease) * config_.renew_fraction);
@@ -218,7 +218,7 @@ void UpnpUser::handle_subscribe_response(const Message& m) {
     SDCM_PROFILE_SITE(simulator(), "timer.upnp.sub_expiry");
     sub_expiry_ = sim::kInvalidEventId;
     subscribed_ = false;
-    trace(sim::TraceCategory::kSubscription, "upnp.subscription.expired");
+    trace(sim::TraceCategory::kSubscription, tag::kSubscriptionExpired);
     if (has_manager() && !subscribe_in_flight_) subscribe();
   });
 }
@@ -231,7 +231,7 @@ void UpnpUser::renew() {
   m.type = msg::kRenew;
   m.klass = MessageClass::kControl;
   m.payload = Renew{id(), service_};
-  trace(sim::TraceCategory::kSubscription, "upnp.renew.tx");
+  trace(sim::TraceCategory::kSubscription, tag::kRenewTx);
   net::TcpConnection::open_and_send(
       network(), std::move(m), /*on_acked=*/{},
       /*on_rex=*/
@@ -271,7 +271,7 @@ void UpnpUser::handle_renew_response(const Message& m) {
     // PR4: the Manager purged us; resubscribe. GENA resubscription does
     // not carry the current description, so a missed update stays missed
     // (the paper's Section 6.2 "never regains consistency" example).
-    trace(sim::TraceCategory::kSubscription, "upnp.renew.rejected");
+    trace(sim::TraceCategory::kSubscription, tag::kRenewRejected);
     SDCM_OBS_ONLY(simulator().obs().counter("recovery.upnp.pr4").inc());
     subscribed_ = false;
     if (renew_timer_ != sim::kInvalidEventId) {
@@ -291,8 +291,8 @@ void UpnpUser::handle_notify(const Message& m) {
   if (m.src != manager_ || notify.service != service_) return;
   refresh_cache_lease();
   const sim::SpanId rx_span =
-      trace(sim::TraceCategory::kUpdate, "upnp.notify.rx",
-            "version=" + std::to_string(notify.version));
+      trace(sim::TraceCategory::kUpdate, tag::kNotifyRx,
+            sim::TraceDetail{}.version(notify.version));
   // Invalidation only: fetch the changed description to become consistent.
   // The fetch descends from the received notification.
   sim::SpanScope scope(simulator().trace(), rx_span);
@@ -305,19 +305,20 @@ void UpnpUser::handle_notify(const Message& m) {
 void UpnpUser::handle_byebye(const Message& m) {
   const auto& bye = m.as<ByeBye>();
   if (bye.manager != manager_) return;
-  purge_manager("byebye");
+  purge_manager(reason::kByeBye);
 }
 
 void UpnpUser::refresh_cache_lease() {
   simulator().reschedule_in(cache_expiry_, config_.registration_lease, [this] {
     SDCM_PROFILE_SITE(simulator(), "timer.upnp.cache_expiry");
     cache_expiry_ = sim::kInvalidEventId;
-    if (config_.enable_pr5) purge_manager("cache-expired");
+    if (config_.enable_pr5) purge_manager(reason::kCacheExpired);
   });
 }
 
-void UpnpUser::purge_manager(const char* reason) {
-  trace(sim::TraceCategory::kDiscovery, "upnp.manager.purged", reason);
+void UpnpUser::purge_manager(sim::Atom why) {
+  trace(sim::TraceCategory::kDiscovery, tag::kManagerPurged,
+        sim::TraceDetail{}.reason(why));
   manager_ = sim::kNoNode;
   service_ = 0;
   sd_.reset();

@@ -9,9 +9,12 @@
 
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/scenario.hpp"
+#include "sdcm/frodo/messages.hpp"
+#include "sdcm/jini/messages.hpp"
 #include "sdcm/net/failure_model.hpp"
 #include "sdcm/net/network.hpp"
 #include "sdcm/sim/simulator.hpp"
+#include "sdcm/upnp/messages.hpp"
 
 namespace {
 
@@ -20,6 +23,9 @@ using check::ConsistencyOracle;
 using check::Invariant;
 using check::OracleConfig;
 using check::OracleReport;
+using sim::TraceDetail;
+
+sim::Atom ev(std::string_view name) { return sim::Atom::intern(name); }
 
 std::string describe_all(const OracleReport& report) {
   std::string out;
@@ -80,10 +86,10 @@ TEST_F(OracleTest, ManagerPurgeResetsTheMonotonicityFloor) {
   // The user purges its manager (lease expiry during an outage), then
   // rediscovers and adopts a stale description from a backup: designed
   // behaviour, not a regress.
-  oracle.on_record(sim::TraceRecord{sim::seconds(700), 11,
-                                    sim::TraceCategory::kDiscovery, 1,
-                                    sim::kNoSpan, "frodo.manager.purged",
-                                    "lease expired"});
+  oracle.on_record(sim::TraceRecord{
+      sim::seconds(700), 11, sim::TraceCategory::kDiscovery, 1, sim::kNoSpan,
+      frodo::tag::kManagerPurged,
+      TraceDetail{}.reason(frodo::reason::kRegistryPurged)});
   observer.user_version(11, 1, sim::seconds(800));
   const OracleReport report = oracle.finish();
   EXPECT_TRUE(report.ok()) << describe_all(report);
@@ -167,22 +173,24 @@ TEST_F(OracleTest, TraceUpdateRecordBeforeChangeIsCausalityViolation) {
   oracle.begin_run(observer, network, sim::seconds(5400));
   oracle.on_record(sim::TraceRecord{sim::seconds(10), 10,
                                     sim::TraceCategory::kUpdate, 1,
-                                    sim::kNoSpan, "jini.notify.tx",
-                                    "to=11 version=2"});
+                                    sim::kNoSpan, jini::tag::kEventTx,
+                                    TraceDetail{}.peer(11).version(2)});
   const OracleReport report = oracle.finish();
   ASSERT_EQ(report.violation_total, 1u) << describe_all(report);
   EXPECT_EQ(report.violations[0].invariant, Invariant::kCausality);
   EXPECT_EQ(report.violations[0].span, 1u);
 }
 
-TEST_F(OracleTest, VersionTokenParsingRespectsBoundaries) {
+TEST_F(OracleTest, OnlyTheVersionFieldIsVersionChecked) {
   ConsistencyOracle oracle;
   oracle.begin_run(observer, network, sim::seconds(5400));
-  // "from_version=3" must NOT parse as "version=3".
+  // An update record carrying only a from-version (a fetch asking for
+  // version 3 onwards) makes no claim to hold version 3.
   oracle.on_record(sim::TraceRecord{sim::seconds(10), 10,
                                     sim::TraceCategory::kUpdate, 1,
-                                    sim::kNoSpan, "x.notify.tx",
-                                    "to=11 from_version=3"});
+                                    sim::kNoSpan,
+                                    frodo::tag::kInvalidationFetch,
+                                    TraceDetail{}.peer(11).from_version(3)});
   const OracleReport report = oracle.finish();
   EXPECT_TRUE(report.ok()) << describe_all(report);
 }
@@ -192,11 +200,12 @@ TEST_F(OracleTest, NotificationDescendingFromChangeRootPasses) {
   oracle.begin_run(observer, network, sim::seconds(5400));
   oracle.on_record(sim::TraceRecord{sim::seconds(20), 10,
                                     sim::TraceCategory::kUpdate, 1,
-                                    sim::kNoSpan, "upnp.service_changed",
-                                    "version=2"});
+                                    sim::kNoSpan, upnp::tag::kServiceChanged,
+                                    TraceDetail{}.version(2)});
   oracle.on_record(sim::TraceRecord{sim::seconds(21), 10,
                                     sim::TraceCategory::kUpdate, 2, 1,
-                                    "upnp.notify.tx", "to=11 version=2"});
+                                    upnp::tag::kNotifyTx,
+                                    TraceDetail{}.peer(11).version(2)});
   const OracleReport report = oracle.finish();
   EXPECT_TRUE(report.ok()) << describe_all(report);
   EXPECT_EQ(report.records_checked, 2u);
@@ -207,12 +216,13 @@ TEST_F(OracleTest, OrphanNotificationIsCausalityViolation) {
   oracle.begin_run(observer, network, sim::seconds(5400));
   oracle.on_record(sim::TraceRecord{sim::seconds(20), 10,
                                     sim::TraceCategory::kUpdate, 1,
-                                    sim::kNoSpan, "upnp.service_changed",
-                                    "version=2"});
+                                    sim::kNoSpan, upnp::tag::kServiceChanged,
+                                    TraceDetail{}.version(2)});
   // A GENA notification rooted in a timer, not the change: bug.
   oracle.on_record(sim::TraceRecord{sim::seconds(30), 10,
                                     sim::TraceCategory::kUpdate, 2,
-                                    sim::kNoSpan, "upnp.notify.tx", "to=11"});
+                                    sim::kNoSpan, upnp::tag::kNotifyTx,
+                                    TraceDetail{}.peer(11)});
   const OracleReport report = oracle.finish();
   ASSERT_EQ(report.violation_total, 1u) << describe_all(report);
   EXPECT_EQ(report.violations[0].invariant, Invariant::kCausality);
@@ -225,8 +235,8 @@ TEST_F(OracleTest, MalformedSpanStructureIsCausalityViolation) {
   // Parent id >= child id (and never recorded): structurally impossible
   // in a real log.
   oracle.on_record(sim::TraceRecord{sim::seconds(5), 10,
-                                    sim::TraceCategory::kInfo, 3, 7, "x",
-                                    ""});
+                                    sim::TraceCategory::kInfo, 3, 7, ev("x"),
+                                    {}});
   const OracleReport report = oracle.finish();
   EXPECT_GE(report.violation_total, 1u);
   EXPECT_GE(count_of(report, Invariant::kCausality), 1u)
@@ -238,13 +248,75 @@ TEST_F(OracleTest, RecordPredatingItsParentIsCausalityViolation) {
   oracle.begin_run(observer, network, sim::seconds(5400));
   oracle.on_record(sim::TraceRecord{sim::seconds(100), 10,
                                     sim::TraceCategory::kInfo, 1,
-                                    sim::kNoSpan, "root", ""});
+                                    sim::kNoSpan, ev("root"), {}});
   oracle.on_record(sim::TraceRecord{sim::seconds(50), 10,
-                                    sim::TraceCategory::kInfo, 2, 1, "child",
-                                    ""});
+                                    sim::TraceCategory::kInfo, 2, 1,
+                                    ev("child"), {}});
   const OracleReport report = oracle.finish();
   ASSERT_EQ(report.violation_total, 1u) << describe_all(report);
   EXPECT_EQ(report.violations[0].invariant, Invariant::kCausality);
+}
+
+TEST_F(OracleTest, HugeSpanIdsKeepVerdictsAndStaySmall) {
+  // The span table is dense by id for real runs (1, 2, 3, ...); a
+  // hand-built stream with ids near 2^40 must get the same verdicts as
+  // any other, without the table growing with the ids (a table sized by
+  // id would need 2^40 slots, and allocating it would throw).
+  constexpr sim::SpanId kHuge = sim::SpanId{1} << 40;
+  ConsistencyOracle oracle;
+  oracle.begin_run(observer, network, sim::seconds(5400));
+  oracle.on_record(sim::TraceRecord{sim::seconds(20), 10,
+                                    sim::TraceCategory::kUpdate, 1,
+                                    sim::kNoSpan, upnp::tag::kServiceChanged,
+                                    TraceDetail{}.version(2)});
+  oracle.on_record(sim::TraceRecord{sim::seconds(21), 10,
+                                    sim::TraceCategory::kUpdate, kHuge, 1,
+                                    upnp::tag::kNotifyTx,
+                                    TraceDetail{}.peer(11).version(2)});
+  // A child of the huge span inherits its change ancestry.
+  oracle.on_record(sim::TraceRecord{sim::seconds(22), 11,
+                                    sim::TraceCategory::kUpdate, kHuge + 1,
+                                    kHuge, upnp::tag::kNotifyTx,
+                                    TraceDetail{}.peer(12)});
+  // Both huge-id failures: a parent never recorded, and a record that
+  // predates its huge parent.
+  oracle.on_record(sim::TraceRecord{sim::seconds(30), 11,
+                                    sim::TraceCategory::kInfo, kHuge + 3,
+                                    kHuge + 2, ev("orphan"), {}});
+  oracle.on_record(sim::TraceRecord{sim::seconds(1), 11,
+                                    sim::TraceCategory::kInfo, kHuge + 4,
+                                    kHuge + 1, ev("early"), {}});
+  const OracleReport report = oracle.finish();
+  EXPECT_EQ(report.records_checked, 5u);
+  ASSERT_EQ(report.violation_total, 2u) << describe_all(report);
+  EXPECT_EQ(report.violations[0].span, kHuge + 3);
+  EXPECT_EQ(report.violations[1].span, kHuge + 4);
+  EXPECT_EQ(count_of(report, Invariant::kCausality), 2u);
+}
+
+TEST_F(OracleTest, WireEventAboveEveryPlannedNode) {
+  ConsistencyOracle oracle;
+  oracle.begin_run(observer, network, sim::seconds(5400));
+  const std::array<net::FailureEpisode, 1> plan{net::FailureEpisode{
+      3, net::FailureMode::kBoth, sim::seconds(100), sim::seconds(100)}};
+  oracle.arm(plan, std::vector<sim::NodeId>{});
+  net::Message msg;
+  msg.src = 1000;  // above every node the plan names
+  msg.dst = 1000;
+  // Up is clean: no outage was planned for it.
+  oracle.on_send(msg, /*tx_up=*/true, sim::seconds(150));
+  oracle.on_arrival(msg, /*rx_up=*/true, /*lost=*/false, sim::seconds(150));
+  EXPECT_TRUE(oracle.finish().ok());
+
+  // Down is an interface violation, in either direction.
+  oracle.begin_run(observer, network, sim::seconds(5400));
+  oracle.arm(plan, std::vector<sim::NodeId>{});
+  oracle.on_send(msg, /*tx_up=*/false, sim::seconds(150));
+  oracle.on_arrival(msg, /*rx_up=*/false, /*lost=*/false, sim::seconds(150));
+  const OracleReport report = oracle.finish();
+  ASSERT_EQ(report.violation_total, 2u) << describe_all(report);
+  EXPECT_EQ(count_of(report, Invariant::kInterface), 2u);
+  EXPECT_EQ(report.violations[0].node, 1000u);
 }
 
 TEST_F(OracleTest, InterfaceUpInsidePlannedOutageIsViolation) {

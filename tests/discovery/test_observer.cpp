@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace sdcm::discovery {
 namespace {
 
@@ -41,6 +43,29 @@ TEST(Observer, TrackUserIsIdempotent) {
   obs.track_user(10);
   obs.track_user(10);
   EXPECT_EQ(obs.users().size(), 1u);
+}
+
+TEST(Observer, MembershipIsKeyedByNodeId) {
+  ConsistencyObserver obs;
+  // Repeats, interleaved and out of id order, keep one entry per user in
+  // first-tracked order.
+  for (const NodeId user : {12u, 10u, 12u, 11u, 10u, 12u}) {
+    obs.track_user(user);
+  }
+  EXPECT_EQ(obs.users(), (std::vector<NodeId>{12, 10, 11}));
+  // A reach report for an id above every tracked id is ignored, and
+  // fires no first-reach hook.
+  int hooks = 0;
+  obs.on_user_reached = [&hooks](NodeId, ServiceVersion, sim::SimTime) {
+    ++hooks;
+  };
+  obs.service_changed(2, seconds(500));
+  obs.user_reached(1000, 2, seconds(600));
+  EXPECT_FALSE(obs.reach_time(1000, 2).has_value());
+  EXPECT_EQ(hooks, 0);
+  obs.user_reached(11, 2, seconds(601));
+  EXPECT_EQ(obs.reach_time(11, 2), seconds(601));
+  EXPECT_EQ(hooks, 1);
 }
 
 TEST(Observer, AllConsistentByDeadline) {

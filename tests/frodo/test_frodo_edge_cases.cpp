@@ -128,7 +128,7 @@ TEST_F(EdgeFixture, NotificationRequestIsVersionGated) {
   // known_version = 0 before the search reply landed) - discovery
   // traffic, never update traffic.
   simulator.trace().for_each_event("frodo.notify.tx", [](const auto& r) {
-    EXPECT_NE(r.detail.find("version=1"), std::string::npos) << r.detail;
+    EXPECT_EQ(r.detail.version(), 1u) << sim::detail_text(r.event, r.detail);
   });
 
   // A change does NOT trigger interest notifications (the subscription

@@ -222,9 +222,7 @@ InterestRun run_interests(ThreePartyFixture& f) {
     if (r.event == "frodo.registered") {
       out.registration = std::min(out.registration, r.at);
     } else if (r.event == "frodo.notify.tx") {
-      const auto user = static_cast<NodeId>(
-          std::stoul(r.detail.substr(r.detail.find('=') + 1)));
-      out.sent.emplace_back(user, r.at);
+      out.sent.emplace_back(*r.detail.peer(), r.at);
     }
   }
   return out;

@@ -68,7 +68,8 @@ TEST(PropagationTree, FrodoChangeFanOutReachesEveryUser) {
     const sim::TraceRecord* leaf = nullptr;
     for (const sim::TraceRecord& r : traced.trace.records()) {
       if (r.node == user && r.at == reached &&
-          r.event == "frodo.description.stored" && r.detail == "version=2") {
+          r.event == "frodo.description.stored" &&
+          r.detail.version() == 2u) {
         leaf = &r;
       }
     }

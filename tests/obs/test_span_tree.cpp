@@ -16,20 +16,22 @@ using sim::TraceCategory;
 using sim::TraceLog;
 using sim::TraceRecord;
 
+sim::Atom ev(std::string_view name) { return sim::Atom::intern(name); }
+
 /// root -> {a -> {leaf}, b}, plus one unparented record.
 TraceLog make_sample_log() {
   TraceLog log;
   const auto root =
-      log.record(sim::seconds(1), 10, TraceCategory::kUpdate, "change");
+      log.record(sim::seconds(1), 10, TraceCategory::kUpdate, ev("change"));
   {
     SpanScope scope(log, root);
     const auto a =
-        log.record(sim::seconds(2), 1, TraceCategory::kUpdate, "fan.a");
-    log.record(sim::seconds(2), 1, TraceCategory::kUpdate, "fan.b");
+        log.record(sim::seconds(2), 1, TraceCategory::kUpdate, ev("fan.a"));
+    log.record(sim::seconds(2), 1, TraceCategory::kUpdate, ev("fan.b"));
     SpanScope inner(log, a);
-    log.record(sim::seconds(3), 11, TraceCategory::kUpdate, "leaf");
+    log.record(sim::seconds(3), 11, TraceCategory::kUpdate, ev("leaf"));
   }
-  log.record(sim::seconds(9), 2, TraceCategory::kInfo, "unrelated");
+  log.record(sim::seconds(9), 2, TraceCategory::kInfo, ev("unrelated"));
   return log;
 }
 

@@ -8,23 +8,37 @@
 namespace sdcm::obs {
 namespace {
 
+using sim::Atom;
 using sim::SpanScope;
 using sim::TraceCategory;
+using sim::TraceDetail;
 using sim::TraceLog;
 using sim::TraceRecord;
+using sim::TraceTag;
+namespace slot = sim::trace_slot;
+
+const TraceTag kChanged{"test.jsonl.service_changed",
+                        {slot::kService, slot::kVersion}};
+const TraceTag kStored{"test.jsonl.update_stored",
+                       {slot::kService, slot::kVersion}};
+const TraceTag kOdd{"test.jsonl.odd\"quoted\\", {slot::reason("why")}};
+const TraceTag kDown{"test.jsonl.iface_down", {slot::reason("mode")}};
+const TraceTag kRex{"test.jsonl.tcp_rex", {slot::peer("to")}};
 
 TraceLog make_log() {
   TraceLog log;
   const auto root = log.record(sim::seconds(188), 10, TraceCategory::kUpdate,
-                               "frodo.service_changed", "service=1 version=2");
+                               kChanged, TraceDetail{}.service(1).version(2));
   SpanScope scope(log, root);
-  log.record(sim::seconds(188) + 37, 1, TraceCategory::kUpdate,
-             "frodo.update.stored", "service=1 version=2");
-  // Exercise the only two escaped characters of the JSON discipline.
-  log.record(sim::seconds(189), 11, TraceCategory::kInfo, "odd",
-             "quote=\" backslash=\\ done");
+  log.record(sim::seconds(188) + 37, 1, TraceCategory::kUpdate, kStored,
+             TraceDetail{}.service(1).version(2));
+  // Exercise the only two escaped characters of the JSON discipline, in
+  // the event name and in a rendered reason word.
+  log.record(sim::seconds(189), 11, TraceCategory::kInfo, kOdd,
+             TraceDetail{}.reason(Atom::intern("quote\"backslash\\done")));
   log.record_child(sim::kNoSpan, sim::seconds(200), 2,
-                   TraceCategory::kFailure, "iface.down", "mode=tx+rx");
+                   TraceCategory::kFailure, kDown,
+                   TraceDetail{}.reason(Atom::intern("tx+rx")));
   return log;
 }
 
@@ -35,11 +49,18 @@ TEST(TraceJsonl, RecordFormatsAsOneFixedOrderObject) {
   r.category = TraceCategory::kTransport;
   r.span = 3;
   r.parent = 1;
-  r.event = "tcp.rex";
-  r.detail = "to=2";
+  r.event = kRex;
+  r.detail = TraceDetail{}.peer(2);
   EXPECT_EQ(trace_record_to_jsonl(r),
             "{\"at\":42,\"node\":7,\"category\":\"transport\",\"span\":3,"
-            "\"parent\":1,\"event\":\"tcp.rex\",\"detail\":\"to=2\"}");
+            "\"parent\":1,\"event\":\"test.jsonl.tcp_rex\",\"detail\":"
+            "\"to=2\"}");
+  r.event = kOdd;
+  r.detail = TraceDetail{}.reason(Atom::intern("a\"b\\c"));
+  EXPECT_EQ(trace_record_to_jsonl(r),
+            "{\"at\":42,\"node\":7,\"category\":\"transport\",\"span\":3,"
+            "\"parent\":1,\"event\":\"test.jsonl.odd\\\"quoted\\\\\","
+            "\"detail\":\"why=a\\\"b\\\\c\"}");
 }
 
 TEST(TraceJsonl, ParseInvertsFormat) {
@@ -84,6 +105,16 @@ TEST(TraceJsonl, ParseRejectsMalformedLines) {
           "\"parent\":0,\"event\":\"e\",\"detail\":\"\"}x",
           error)
           .has_value());
+  // Detail text the event's tag would never render.
+  error.clear();
+  EXPECT_FALSE(
+      parse_trace_record(
+          "{\"at\":1,\"node\":1,\"category\":\"info\",\"span\":1,"
+          "\"parent\":0,\"event\":\"test.jsonl.tcp_rex\",\"detail\":"
+          "\"user=2\"}",
+          error)
+          .has_value());
+  EXPECT_FALSE(error.empty());
 }
 
 TEST(TraceJsonl, WriterCountsRecordsAndBytes) {
@@ -134,9 +165,10 @@ TEST(TraceJsonl, StreamingARunMatchesItsStoredTrace) {
   TraceLog stored;
   for (auto* log : {&streamed, &stored}) {
     const auto root = log->record(sim::seconds(1), 10,
-                                  TraceCategory::kUpdate, "change");
+                                  TraceCategory::kUpdate, kChanged);
     log->record_child(root, sim::seconds(2), 11, TraceCategory::kUpdate,
-                      "notify", "user=11");
+                      Atom::intern("test.jsonl.notify"),
+                      TraceDetail{}.peer(11));
   }
   std::istringstream in(oss.str());
   TraceLog rebuilt;

@@ -1,7 +1,9 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sdcm/experiment/sweep.hpp"
@@ -66,5 +68,14 @@ std::optional<SystemModel> model_from_name(std::string_view name);
 
 /// Parses "i/N" into a ShardSpec (i in [0, N), N >= 1).
 std::optional<ShardSpec> parse_shard(std::string_view text);
+
+/// Number parsers shared by the command-line tools. Each fails unless
+/// the whole text is one number, and leaves range checks to the caller.
+/// parse_double takes strtod's syntax, "nan" and "inf" included;
+/// parse_int and parse_u64 take decimal digits only (parse_int with an
+/// optional '-') and fail on overflow.
+bool parse_double(std::string_view text, double& out);
+bool parse_int(std::string_view text, long& out);
+bool parse_u64(std::string_view text, std::uint64_t& out);
 
 }  // namespace sdcm::experiment::cli

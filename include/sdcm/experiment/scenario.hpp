@@ -11,7 +11,6 @@
 #include "sdcm/net/failure_model.hpp"
 #include "sdcm/net/network.hpp"
 #include "sdcm/obs/profiler.hpp"
-#include "sdcm/obs/registry.hpp"
 #include "sdcm/sim/trace.hpp"
 #include "sdcm/upnp/config.hpp"
 
@@ -141,13 +140,11 @@ struct ExperimentConfig {
 /// is registries 1-2, manager 10, users 11..10+N.
 metrics::RunRecord run_experiment(const ExperimentConfig& config);
 
-/// run_experiment plus the run's observability state, moved out of the
-/// simulator after the horizon: the full trace log (recording is forced
-/// on) and the metrics registry (populated only in SDCM_OBS=ON builds).
+/// run_experiment plus the run's full trace log (recording is forced
+/// on), moved out of the simulator after the horizon.
 struct TracedExperiment {
   metrics::RunRecord record;
   sim::TraceLog trace;
-  obs::Registry obs;
 };
 
 TracedExperiment run_experiment_traced(const ExperimentConfig& config);

@@ -11,7 +11,6 @@
 
 #include "sdcm/net/interface.hpp"
 #include "sdcm/net/message.hpp"
-#include "sdcm/obs/registry.hpp"
 #include "sdcm/sim/simulator.hpp"
 #include "sdcm/sim/trace.hpp"
 
@@ -302,10 +301,6 @@ class Network {
   sim::Simulator& sim_;
   sim::SimDuration min_delay_;
   sim::SimDuration max_delay_;
-  /// Set in the constructor only when built with SDCM_OBS=ON (see
-  /// sdcm/obs/instrument.hpp); unconditional member so the class layout
-  /// never depends on the toggle.
-  obs::Histogram* hop_delay_us_ = nullptr;
   WireProbe* probe_ = nullptr;
   double loss_rate_ = 0.0;
   double cap_rate_per_us_ = 0.0;

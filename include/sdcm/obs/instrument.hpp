@@ -1,25 +1,7 @@
 #pragma once
 
-/// Compile-time observability toggle.
-///
-/// The metrics registry instruments hot paths (every wire hop draws a
-/// delay). Builds configured with -DSDCM_OBS=ON (CMake option SDCM_OBS)
-/// define SDCM_OBS=1 globally and the instrumentation compiles in; the
-/// default build compiles it out entirely, so the kernel fast path pays
-/// nothing - not even a branch. The definition is global (set via
-/// add_compile_definitions) so every translation unit agrees on the
-/// layout-independent instrumentation; headers keep members
-/// unconditional to rule out ODR surprises.
-///
-/// Usage:
-///   SDCM_OBS_ONLY(registry.counter("tcp.retransmissions").inc());
-///   #if SDCM_OBS_ENABLED
-///     ... multi-statement instrumentation ...
-///   #endif
-#if defined(SDCM_OBS) && SDCM_OBS
-#define SDCM_OBS_ENABLED 1
-#define SDCM_OBS_ONLY(...) __VA_ARGS__
-#else
+/// Always 0: the metrics-registry build this macro once reported is gone,
+/// and every fact that registry counted has an always-on home (DESIGN.md
+/// §8.2). The header stays only because benchmark/sdcm_bench.cpp includes
+/// it for its build guard; delete it together with that include.
 #define SDCM_OBS_ENABLED 0
-#define SDCM_OBS_ONLY(...)
-#endif

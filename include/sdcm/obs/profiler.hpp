@@ -7,9 +7,7 @@
 #include <string>
 #include <vector>
 
-#include "sdcm/obs/registry.hpp"
-
-/// Compile-time wall-clock profiling toggle, mirroring instrument.hpp.
+/// Compile-time wall-clock profiling toggle.
 ///
 /// Builds configured with -DSDCM_PROFILE=ON define SDCM_PROFILE=1
 /// globally and the event loop compiles in per-event steady_clock
@@ -44,13 +42,21 @@ inline const std::vector<std::uint64_t>& profile_ns_bounds() {
   return bounds;
 }
 
-/// Process-wide memory watermarks: peak RSS (KB, via getrusage) and
-/// current heap bytes (glibc mallinfo2; 0 where unavailable).
+/// Process-wide memory watermarks: peak RSS (KB, VmHWM from
+/// /proc/self/status, else getrusage) and current heap bytes (glibc
+/// mallinfo2; 0 where unavailable).
 struct MemorySample {
   std::uint64_t peak_rss_kb = 0;
   std::uint64_t heap_bytes = 0;
 };
 MemorySample sample_memory() noexcept;
+
+/// One occupied bucket of the shared profile_ns_bounds() histogram.
+struct ProfileBucket {
+  /// Inclusive upper bound in ns; UINT64_MAX for the overflow bucket.
+  std::uint64_t upper = 0;
+  std::uint64_t count = 0;
+};
 
 /// One attribution site's aggregate in a snapshot, resolved to its
 /// interned name.
@@ -59,9 +65,8 @@ struct ProfileEntry {
   std::uint64_t count = 0;
   std::uint64_t total_ns = 0;
   std::uint64_t max_ns = 0;
-  /// Occupied buckets of the shared profile_ns_bounds() histogram,
-  /// ascending by upper bound.
-  std::vector<Histogram::Bucket> buckets;
+  /// Occupied buckets, ascending by upper bound.
+  std::vector<ProfileBucket> buckets;
 };
 
 /// One phase timer's aggregate in a snapshot.
@@ -141,17 +146,12 @@ class Profiler {
 
   // -- cold path ----------------------------------------------------
   /// Charges `ns` to phase `site` and folds in a memory sample.
-  /// Defined in profiler.cpp (pulls in <sys/resource.h>).
+  /// Defined in profiler.cpp, which holds the platform probes.
   void phase_record(std::uint32_t site, std::uint64_t ns);
 
   /// Snapshot with interned names resolved, entries sorted bytewise by
   /// name, ready for export/merge. `runs` is 1.
   [[nodiscard]] RunProfile snapshot() const;
-
-  /// Writes the profile into a registry: a "profile.event.<name>"
-  /// fixed-bucket histogram per site and "profile.phase.<name>.*"
-  /// counters, so --histograms and the metrics endpoint see it.
-  void flush_to(Registry& registry) const;
 
   [[nodiscard]] std::uint64_t loop_ns() const noexcept { return loop_ns_; }
   [[nodiscard]] std::uint64_t loop_events() const noexcept {

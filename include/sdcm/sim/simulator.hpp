@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "sdcm/obs/profiler.hpp"
-#include "sdcm/obs/registry.hpp"
 #include "sdcm/sim/event_queue.hpp"
 #include "sdcm/sim/kernel_stats.hpp"
 #include "sdcm/sim/random.hpp"
@@ -87,13 +86,6 @@ class Simulator {
   TraceLog& trace() noexcept { return trace_; }
   const TraceLog& trace() const noexcept { return trace_; }
 
-  /// The run's metrics registry (counters + histograms). Always present;
-  /// hot-path instrumentation that FEEDS it is compiled in only with
-  /// SDCM_OBS=ON (see sdcm/obs/instrument.hpp), so a default build holds
-  /// an empty registry at zero per-event cost.
-  [[nodiscard]] obs::Registry& obs() noexcept { return obs_; }
-  [[nodiscard]] const obs::Registry& obs() const noexcept { return obs_; }
-
   /// The run's shared kernel counter block (event queue volume, wire
   /// traffic, trace records). See sim::KernelStats.
   [[nodiscard]] KernelStats& kernel_stats() noexcept { return stats_; }
@@ -102,9 +94,9 @@ class Simulator {
   }
 
   /// Attaches a wall-clock profiler (nullptr detaches). The member is
-  /// unconditional (same ODR policy as the registry) but the event
-  /// loop only reads it under SDCM_PROFILE=1 - a default build pays
-  /// nothing per event regardless of attachment.
+  /// unconditional, so the class layout never depends on the toggle,
+  /// but the event loop only reads it under SDCM_PROFILE=1 - a default
+  /// build pays nothing per event regardless of attachment.
   void set_profiler(obs::Profiler* profiler) noexcept {
     profiler_ = profiler;
   }
@@ -131,7 +123,6 @@ class Simulator {
   EventQueue queue_;
   Random rng_;
   TraceLog trace_;
-  obs::Registry obs_;
   obs::Profiler* profiler_ = nullptr;
 };
 

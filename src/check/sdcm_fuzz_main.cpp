@@ -12,7 +12,6 @@
 // errors.
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <string_view>
@@ -22,6 +21,8 @@
 #include "sdcm/experiment/cli.hpp"
 
 using namespace sdcm;
+using experiment::cli::parse_double;
+using experiment::cli::parse_u64;
 
 namespace {
 
@@ -51,25 +52,6 @@ std::string usage() {
          "                     propagation tree and repro.txt under DIR\n"
          "  --quiet            suppress the per-case progress log\n"
          "  --help\n";
-}
-
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789") != std::string_view::npos) {
-    return false;
-  }
-  out = 0;
-  for (const char c : text) {
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return true;
-}
-
-bool parse_double(std::string_view text, double& out) {
-  const std::string copy(text);
-  char* end = nullptr;
-  out = std::strtod(copy.c_str(), &end);
-  return !copy.empty() && end == copy.c_str() + copy.size();
 }
 
 std::vector<std::string> split(std::string_view text, char separator) {

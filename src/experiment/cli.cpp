@@ -1,6 +1,7 @@
 #include "sdcm/experiment/cli.hpp"
 
 #include <charconv>
+#include <cstdlib>
 #include <sstream>
 
 #include "sdcm/experiment/protocol_registry.hpp"
@@ -24,6 +25,15 @@ std::vector<std::string> split(std::string_view text, char separator) {
   return parts;
 }
 
+template <typename Integer>
+bool parse_integer(std::string_view text, Integer& out) {
+  const auto* last = text.data() + text.size();
+  const auto result = std::from_chars(text.data(), last, out);
+  return result.ec == std::errc{} && result.ptr == last;
+}
+
+}  // namespace
+
 bool parse_double(std::string_view text, double& out) {
   // std::from_chars for double is not universally available; use strtod
   // through a bounded copy.
@@ -34,13 +44,12 @@ bool parse_double(std::string_view text, double& out) {
 }
 
 bool parse_int(std::string_view text, long& out) {
-  const auto* first = text.data();
-  const auto* last = text.data() + text.size();
-  const auto result = std::from_chars(first, last, out);
-  return result.ec == std::errc{} && result.ptr == last;
+  return parse_integer(text, out);
 }
 
-}  // namespace
+bool parse_u64(std::string_view text, std::uint64_t& out) {
+  return parse_integer(text, out);
+}
 
 std::optional<SystemModel> model_from_name(std::string_view name) {
   // Single source of truth: the protocol registry's name map.

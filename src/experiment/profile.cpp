@@ -28,7 +28,7 @@ obs::RunProfile& model_slot(CampaignProfile& profile, std::string_view model) {
 }
 
 void append_buckets(std::string& out,
-                    const std::vector<obs::Histogram::Bucket>& buckets) {
+                    const std::vector<obs::ProfileBucket>& buckets) {
   out += '[';
   bool first = true;
   for (const auto& bucket : buckets) {
@@ -190,7 +190,7 @@ bool read_profile_jsonl(std::istream& in, CampaignProfile& profile,
             error = "line " + std::to_string(line_no) + ": bad bucket pair";
             return false;
           }
-          entry.buckets.push_back(obs::Histogram::Bucket{upper, count});
+          entry.buckets.push_back(obs::ProfileBucket{upper, count});
         }
       }
       // Fold through merge() rather than push_back so concatenated

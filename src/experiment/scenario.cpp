@@ -13,7 +13,6 @@
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/workload.hpp"
 #include "sdcm/net/failure_model.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::experiment {
@@ -174,18 +173,9 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   std::uint64_t count_at_last_reach = 0;
   std::size_t users_reached = 0;
   bool window_closed = false;
-#if SDCM_OBS_ENABLED
-  obs::Histogram& notification_latency =
-      simulator.obs().histogram("update.notification_latency_us");
-#endif
   observer.on_user_reached = [&](sim::NodeId, discovery::ServiceVersion version,
-                                 sim::SimTime at) {
+                                 sim::SimTime) {
     if (version != 2 || window_closed) return;
-#if SDCM_OBS_ENABLED
-    notification_latency.record(static_cast<std::uint64_t>(at - change_at));
-#else
-    static_cast<void>(at);
-#endif
     count_at_last_reach = chatter_total();
     if (++users_reached == static_cast<std::size_t>(layout.users)) {
       window_closed = true;
@@ -224,12 +214,7 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
     record.trace_fingerprint = simulator.trace().fingerprint();
   }
   phase.reset();
-  if (profiler != nullptr) {
-    // Surface the profile through the run's registry too, so traced
-    // tools (--histograms, the future metrics endpoint) see it.
-    profiler->flush_to(simulator.obs());
-    simulator.set_profiler(nullptr);
-  }
+  if (profiler != nullptr) simulator.set_profiler(nullptr);
   return record;
 }
 
@@ -245,7 +230,6 @@ TracedExperiment run_experiment_traced(const ExperimentConfig& config) {
   TracedExperiment out;
   out.record = run_impl(config, simulator, /*keep_records=*/true);
   out.trace = std::move(simulator.trace());
-  out.obs = std::move(simulator.obs());
   return out;
 }
 

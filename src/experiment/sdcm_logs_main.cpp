@@ -6,8 +6,8 @@
 // Runs one experiment with trace recording on, then prints the run in
 // the paper's own log style (failure windows, the change, per-user
 // consistency outcomes), a recovery-technique attribution summary, and
-// on request the causal propagation tree, the metrics registry, the
-// full event log, or a JSONL export of the trace.
+// on request the causal propagation tree, the full event log, or a
+// JSONL export of the trace.
 //
 //   $ sdcm_logs UPnP 0.15 7                 # system, lambda, seed
 //   $ sdcm_logs FRODO-3party 0.15 7 --tree  # the change's fan-out tree
@@ -15,7 +15,6 @@
 //   $ sdcm_logs --diff a.jsonl b.jsonl      # compare two exported runs
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string_view>
@@ -71,13 +70,10 @@ int usage() {
       "       sdcm_logs --profile-table <profile.jsonl>\n"
       "       sdcm_logs --profile-diff <a.jsonl> <b.jsonl>\n"
       "  systems: %s\n"
+      "  lambda: interface failure rate in [0, 1]; seed: unsigned integer\n"
       "  --full           print the full event log\n"
       "  --tree[=SPAN]    print the causal propagation tree rooted at SPAN\n"
       "                   (default: the run's service-change record)\n"
-      "  --histograms     print the metrics registry, in bytewise-ascending\n"
-      "                   name order, counters before histograms - stable\n"
-      "                   across platforms and standard libraries, so the\n"
-      "                   output diffs cleanly in CI (needs -DSDCM_OBS=ON)\n"
       "  --profile        attach the wall-clock profiler to the run and\n"
       "                   print the top-N attribution table (per-event\n"
       "                   rows need a -DSDCM_PROFILE=ON build)\n"
@@ -144,19 +140,6 @@ int diff_traces(const char* path_a, const char* path_b) {
   return 3;
 }
 
-void print_registry(const obs::Registry& registry) {
-  if (registry.empty()) {
-    std::printf("  (empty - rebuild with -DSDCM_OBS=ON to instrument "
-                "hot paths)\n");
-    return;
-  }
-  // The shared emitter pins the ordering contract (bytewise-ascending
-  // names, counters before histograms) in one place.
-  std::fflush(stdout);
-  obs::write_registry_text(std::cout, registry);
-  std::cout.flush();
-}
-
 int load_profile(const char* path, experiment::CampaignProfile& profile) {
   std::ifstream in(path);
   if (!in) {
@@ -212,12 +195,21 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "unknown system '%s'\n", argv[1]);
     return 2;
   }
-  const double lambda = std::atof(argv[2]);
-  const auto seed = static_cast<std::uint64_t>(std::atoll(argv[3]));
+  double lambda = 0.0;
+  // The rule SweepConfig::validate applies; the negated form rejects NaN.
+  if (!experiment::cli::parse_double(argv[2], lambda) ||
+      !(lambda >= 0.0 && lambda <= 1.0)) {
+    std::fprintf(stderr, "lambda '%s' must lie in [0, 1]\n\n", argv[2]);
+    return usage();
+  }
+  std::uint64_t seed = 0;
+  if (!experiment::cli::parse_u64(argv[3], seed)) {
+    std::fprintf(stderr, "seed '%s' is not an unsigned integer\n\n", argv[3]);
+    return usage();
+  }
 
   bool full = false;
   bool tree = false;
-  bool histograms = false;
   bool profile = false;
   sim::SpanId tree_root = sim::kNoSpan;
   std::string export_path;
@@ -229,10 +221,10 @@ int main(int argc, char** argv) {
       tree = true;
     } else if (arg.rfind("--tree=", 0) == 0) {
       tree = true;
-      tree_root = static_cast<sim::SpanId>(
-          std::strtoull(arg.data() + 7, nullptr, 10));
-    } else if (arg == "--histograms") {
-      histograms = true;
+      if (!experiment::cli::parse_u64(arg.substr(7), tree_root)) {
+        std::fprintf(stderr, "--tree needs a numeric span id\n\n");
+        return usage();
+      }
     } else if (arg == "--profile") {
       profile = true;
     } else if (arg.rfind("--export=", 0) == 0) {
@@ -269,13 +261,14 @@ int main(int argc, char** argv) {
     std::printf("  node%-3u %-5s down at %.0f, up at %.0f%s\n", ep.node,
                 std::string(to_string(ep.mode)).c_str(),
                 sim::to_seconds(ep.start), sim::to_seconds(ep.end()),
-                ep.end() > sim::seconds(5400) ? "  (past end of run)" : "");
+                ep.end() > config.duration ? "  (past end of run)" : "");
   }
 
   const auto traced = experiment::run_experiment_traced(config);
   const metrics::RunRecord& record = traced.record;
-  std::printf("\nservice changes at %.0f, deadline 5400\n",
-              sim::to_seconds(record.change_time));
+  std::printf("\nservice changes at %.0f, deadline %.0f\n",
+              sim::to_seconds(record.change_time),
+              sim::to_seconds(config.duration));
   std::printf("\nper-user outcome:\n");
   for (std::size_t j = 0; j < record.user_reach_times.size(); ++j) {
     const auto& reach = record.user_reach_times[j];
@@ -351,11 +344,6 @@ int main(int argc, char** argv) {
                 "total delay):\n");
     obs::print_span_tree(std::cout, forest, root_index);
     std::cout.flush();
-  }
-
-  if (histograms) {
-    std::printf("\nmetrics registry:\n");
-    print_registry(traced.obs);
   }
 
   if (profile) {

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::frodo {
@@ -479,7 +478,6 @@ void FrodoManager::handle_subscription_renew(const Message& m) {
     req.span = trace(sim::TraceCategory::kSubscription,
                      tag::kResubscribeRequest,
                      sim::TraceDetail{}.peer(renew.user));
-    SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.pr4").inc());
     network().send(req);
     return;
   }
@@ -500,7 +498,6 @@ void FrodoManager::handle_subscription_renew(const Message& m) {
     const sim::SpanId retry =
         trace(sim::TraceCategory::kUpdate, tag::kSrn2Retry,
               sim::TraceDetail{}.peer(renew.user));
-    SDCM_OBS_ONLY(simulator().obs().counter("recovery.frodo.srn2").inc());
     sim::SpanScope scope(simulator().trace(), retry);
     send_update_to_user(renew.service, renew.user);
   }

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "sdcm/net/tcp.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::jini {
@@ -196,7 +195,6 @@ void JiniManager::handle_renew_response(const Message& m) {
     // current description (PR1 when the version moved meanwhile).
     trace(sim::TraceCategory::kLease, tag::kRenewLapsed,
           sim::TraceDetail{}.peer(registry));
-    SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr1").inc());
     register_service(registry, service);
   }
 }

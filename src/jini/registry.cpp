@@ -4,7 +4,6 @@
 
 #include "sdcm/discovery/observer.hpp"
 #include "sdcm/net/tcp.hpp"
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::jini {
@@ -234,7 +233,6 @@ void JiniRegistry::handle_renew_event(const Message& m) {
     // discovery, event registration and lookup.
     trace(sim::TraceCategory::kSubscription, tag::kRenewEventUnknown,
           sim::TraceDetail{}.peer(renew.user));
-    SDCM_OBS_ONLY(simulator().obs().counter("recovery.jini.pr3").inc());
     reply.payload = RenewEventResponse{false};
   }
   m.conn->send(std::move(reply));

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <utility>
 
-#include "sdcm/obs/instrument.hpp"
 #include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::net {
@@ -74,7 +73,6 @@ void TcpConnection::open(Network& network, NodeId initiator, NodeId responder,
         conn->span_, conn->net_.simulator().now(), conn->initiator_,
         sim::TraceCategory::kTransport, tag::kTcpRex,
         sim::TraceDetail{}.peer(conn->responder_));
-    SDCM_OBS_ONLY(conn->net_.simulator().obs().counter("tcp.rex").inc());
     if (conn->on_rex_) {
       sim::SpanScope scope(conn->net_.simulator().trace(), conn->span_);
       conn->on_rex_();
@@ -181,8 +179,6 @@ void TcpConnection::transfer_attempt(const std::shared_ptr<Transfer>& t) {
     // message counts must not inflate with TCP retries).
     segment.klass = MessageClass::kTransport;
     segment.type = retx_type(t->msg.type);
-    SDCM_OBS_ONLY(
-        net_.simulator().obs().counter("tcp.retransmissions").inc());
   }
 
   const bool left_source = net_.transmit(

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,9 +36,9 @@ std::string site_name(std::uint32_t site) {
 
 /// Merges `from` (sorted by upper) into `into` (sorted by upper),
 /// summing counts bucket-for-bucket.
-void merge_buckets(std::vector<Histogram::Bucket>& into,
-                   const std::vector<Histogram::Bucket>& from) {
-  std::vector<Histogram::Bucket> out;
+void merge_buckets(std::vector<ProfileBucket>& into,
+                   const std::vector<ProfileBucket>& from) {
+  std::vector<ProfileBucket> out;
   out.reserve(into.size() + from.size());
   std::size_t i = 0;
   std::size_t j = 0;
@@ -46,7 +50,7 @@ void merge_buckets(std::vector<Histogram::Bucket>& into,
       out.push_back(from[j++]);
     } else {
       out.push_back(
-          Histogram::Bucket{into[i].upper, into[i].count + from[j].count});
+          ProfileBucket{into[i].upper, into[i].count + from[j].count});
       ++i;
       ++j;
     }
@@ -60,13 +64,36 @@ void sort_by_name(std::vector<Entry>& entries) {
             [](const Entry& a, const Entry& b) { return a.name < b.name; });
 }
 
+struct FileCloser {
+  void operator()(std::FILE* file) const noexcept { std::fclose(file); }
+};
+
+/// Peak resident set of this process image in kB (VmHWM), or 0 where
+/// /proc/self/status cannot be read. getrusage's ru_maxrss is only the
+/// fallback: Linux carries it across exec, so a process launched by a
+/// large one would report the launcher's peak.
+std::uint64_t vm_hwm_kb() noexcept {
+  const std::unique_ptr<std::FILE, FileCloser> status(
+      std::fopen("/proc/self/status", "r"));
+  if (status == nullptr) return 0;
+  char line[256];
+  while (std::fgets(line, sizeof line, status.get()) != nullptr) {
+    if (std::strncmp(line, "VmHWM:", 6) == 0) {
+      return std::strtoull(line + 6, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
 }  // namespace
 
 MemorySample sample_memory() noexcept {
   MemorySample sample;
+  sample.peak_rss_kb = vm_hwm_kb();
 #if defined(__unix__) || defined(__APPLE__)
   rusage usage{};
-  if (getrusage(RUSAGE_SELF, &usage) == 0 && usage.ru_maxrss > 0) {
+  if (sample.peak_rss_kb == 0 && getrusage(RUSAGE_SELF, &usage) == 0 &&
+      usage.ru_maxrss > 0) {
     // Linux reports ru_maxrss in KB (macOS in bytes; close enough for a
     // watermark, and CI runs Linux).
     sample.peak_rss_kb = static_cast<std::uint64_t>(usage.ru_maxrss);
@@ -155,7 +182,7 @@ RunProfile Profiler::snapshot() const {
       const std::uint64_t upper =
           b < bounds.size() ? bounds[b]
                             : std::numeric_limits<std::uint64_t>::max();
-      entry.buckets.push_back(Histogram::Bucket{upper, s.bucket_counts[b]});
+      entry.buckets.push_back(ProfileBucket{upper, s.bucket_counts[b]});
     }
     out.events.push_back(std::move(entry));
   }
@@ -187,39 +214,6 @@ RunProfile Profiler::snapshot() const {
     }
   }
   return out;
-}
-
-void Profiler::flush_to(Registry& registry) const {
-  const RunProfile profile = snapshot();
-  const auto& bounds = profile_ns_bounds();
-  for (const ProfileEntry& e : profile.events) {
-    // Rebuild the fixed histogram from the sparse bucket list. Each
-    // bucket's occupants are billed at the bucket's representative
-    // value (its upper bound; the overflow bucket at the observed
-    // max), so the histogram's sum is resolution-approximate - the
-    // exact total lives in the .total_ns counter.
-    Histogram h{bounds};
-    for (const Histogram::Bucket& b : e.buckets) {
-      const std::uint64_t representative =
-          b.upper == std::numeric_limits<std::uint64_t>::max() ? e.max_ns
-                                                               : b.upper;
-      h.record_n(representative, b.count);
-    }
-    registry.put_histogram("profile.event." + e.name, std::move(h));
-    registry.counter("profile.event." + e.name + ".total_ns")
-        .inc(e.total_ns);
-  }
-  for (const PhaseEntry& p : profile.phases) {
-    registry.counter("profile.phase." + p.name + ".count").inc(p.count);
-    registry.counter("profile.phase." + p.name + ".total_ns")
-        .inc(p.total_ns);
-    registry.counter("profile.phase." + p.name + ".peak_rss_kb")
-        .inc(p.peak_rss_kb);
-  }
-  if (profile.loop_events > 0) {
-    registry.counter("profile.loop.events").inc(profile.loop_events);
-    registry.counter("profile.loop.total_ns").inc(profile.loop_ns);
-  }
 }
 
 }  // namespace sdcm::obs

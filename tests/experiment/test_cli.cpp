@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <iterator>
+#include <limits>
 
 namespace sdcm::experiment::cli {
 namespace {
@@ -143,6 +146,40 @@ TEST(Cli, HelpShortCircuits) {
   ASSERT_TRUE(options.has_value());
   EXPECT_TRUE(options->help);
   EXPECT_NE(usage().find("--models"), std::string::npos);
+}
+
+TEST(Cli, ParseDoubleTakesOneWholeNumber) {
+  double value = 0.0;
+  EXPECT_TRUE(parse_double("0.25", value));
+  EXPECT_DOUBLE_EQ(value, 0.25);
+  // strtod's syntax includes "nan", so callers range-check with a test
+  // NaN fails, as sdcm_logs and SweepConfig::validate do.
+  EXPECT_TRUE(parse_double("nan", value));
+  EXPECT_TRUE(std::isnan(value));
+  for (const char* bad : {"", "abc", "0.3x", "1,5"}) {
+    EXPECT_FALSE(parse_double(bad, value)) << bad;
+  }
+}
+
+TEST(Cli, ParseIntTakesOneWholeInteger) {
+  long value = 0;
+  EXPECT_TRUE(parse_int("-3", value));
+  EXPECT_EQ(value, -3);
+  for (const char* bad : {"", "3.5", "7 ", " 7", "x"}) {
+    EXPECT_FALSE(parse_int(bad, value)) << bad;
+  }
+}
+
+TEST(Cli, ParseU64RejectsSignsOverflowAndJunk) {
+  std::uint64_t value = 0;
+  EXPECT_TRUE(parse_u64("42", value));
+  EXPECT_EQ(value, 42u);
+  EXPECT_TRUE(parse_u64("18446744073709551615", value));
+  EXPECT_EQ(value, std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"", "-1", "+1", "18446744073709551616", "42abc",
+                          "0x10", " 42", "abc"}) {
+    EXPECT_FALSE(parse_u64(bad, value)) << bad;
+  }
 }
 
 TEST(Cli, ModelNamesRoundTrip) {

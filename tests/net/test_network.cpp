@@ -58,6 +58,24 @@ TEST_F(NetworkFixture, DelayWithinTableThreeBounds) {
     ASSERT_GE(arrival, sim::microseconds(10));
     ASSERT_LE(arrival, sim::microseconds(100));
   }
+  // Every subscriber of a multicast draws its own delay from the same
+  // range, redundant copies included.
+  for (int i = 0; i < 50; ++i) {
+    sim::Simulator s(static_cast<std::uint64_t>(i));
+    Network n(s);
+    std::vector<sim::SimTime> arrivals;
+    n.attach(1, [](const Message&) {});
+    for (NodeId id = 2; id <= 6; ++id) {
+      n.attach(id, [&](const Message&) { arrivals.push_back(s.now()); });
+    }
+    n.multicast(msg(1, 0, "t"), 6);
+    s.run_until(seconds(1));
+    ASSERT_EQ(arrivals.size(), 30u);
+    for (const sim::SimTime arrival : arrivals) {
+      ASSERT_GE(arrival, sim::microseconds(10));
+      ASSERT_LE(arrival, sim::microseconds(100));
+    }
+  }
 }
 
 TEST_F(NetworkFixture, TransmitterDownLosesMessageSilently) {

@@ -2,13 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "sdcm/net/message_type.hpp"
 #include "sdcm/obs/profile_site.hpp"
-#include "sdcm/obs/registry.hpp"
 
 namespace sdcm::obs {
 namespace {
@@ -114,6 +115,32 @@ TEST(Profiler, MemoryWatermarksAreSampledAtPhaseEnds) {
   EXPECT_GE(profile.phases[0].peak_rss_kb, sample.peak_rss_kb);
 }
 
+TEST(Profiler, PeakRssIsTheProcessImagesOwnNotItsLaunchers) {
+  // Linux carries getrusage's ru_maxrss across exec, so a process
+  // launched by a large one would record the launcher's peak. Touch
+  // 256 MB here, then launch a probe that prints its own
+  // sample_memory(): it must report its own small footprint.
+  constexpr std::size_t kBallast = std::size_t{256} << 20;
+  const std::unique_ptr<char[]> ballast(new char[kBallast]);
+  std::memset(ballast.get(), 1, kBallast);
+  // The pages must really be written: keep the compiler from dropping
+  // stores to a buffer nothing reads.
+  asm volatile("" : : "r"(ballast.get()) : "memory");
+  ASSERT_GE(sample_memory().peak_rss_kb, kBallast / 1024);
+
+  // `exec` makes the probe replace the shell popen spawns from this
+  // process, so it inherits what an exec carries over; a shell that
+  // forked the probe instead would hide the bug.
+  std::FILE* probe = popen("exec '" SDCM_PEAK_RSS_PROBE "'", "r");
+  ASSERT_NE(probe, nullptr);
+  unsigned long long probe_kb = 0;
+  const int fields = std::fscanf(probe, "%llu", &probe_kb);
+  ASSERT_EQ(pclose(probe), 0);
+  ASSERT_EQ(fields, 1);
+  EXPECT_GT(probe_kb, 0u);
+  EXPECT_LT(probe_kb, kBallast / 2 / 1024);
+}
+
 TEST(Profiler, BucketBoundsAreStrictlyIncreasing) {
   const auto& bounds = profile_ns_bounds();
   ASSERT_FALSE(bounds.empty());
@@ -187,48 +214,6 @@ TEST(RunProfile, MergeOfDisjointSitesKeepsSortedOrder) {
   EXPECT_EQ(a.events[0].name, "a.site");
   EXPECT_EQ(a.events[1].name, "m.site");
   EXPECT_EQ(a.events[2].name, "z.site");
-}
-
-TEST(Profiler, FlushToRegistryExportsHistogramsAndCounters) {
-  Profiler profiler;
-  profiler.loop_begin();
-  profiler.event_begin();
-  profiler.attribute(site("test.profiler.flush"));
-  profiler.event_end();
-  profiler.loop_end();
-  { const PhaseScope scope(&profiler, site("phase.test_flush")); }
-
-  Registry registry;
-  profiler.flush_to(registry);
-  EXPECT_NE(registry.find_histogram("profile.event.test.profiler.flush"),
-            nullptr);
-  EXPECT_NE(
-      registry.find_counter("profile.event.test.profiler.flush.total_ns"),
-      nullptr);
-  EXPECT_NE(registry.find_counter("profile.phase.phase.test_flush.count"),
-            nullptr);
-  const Counter* events = registry.find_counter("profile.loop.events");
-  ASSERT_NE(events, nullptr);
-  EXPECT_EQ(events->value(), 1u);
-}
-
-TEST(WriteRegistryText, PrintsCountersThenHistogramsInByteOrder) {
-  Registry registry;
-  registry.counter("zeta").inc(7);
-  registry.counter("alpha").inc(1);
-  registry.fixed_histogram("mid", {10, 100}).record(5);
-  std::ostringstream out;
-  write_registry_text(out, registry);
-  const std::string text = out.str();
-  const auto alpha = text.find("alpha");
-  const auto zeta = text.find("zeta");
-  const auto mid = text.find("mid");
-  ASSERT_NE(alpha, std::string::npos);
-  ASSERT_NE(zeta, std::string::npos);
-  ASSERT_NE(mid, std::string::npos);
-  // Bytewise-ascending counters first, then histograms.
-  EXPECT_LT(alpha, zeta);
-  EXPECT_LT(zeta, mid);
 }
 
 }  // namespace

@@ -115,8 +115,8 @@ struct ExperimentConfig {
   /// -DSDCM_PROFILE=ON build; phase timers work in every build) and
   /// records the setup/loop/extract phase hierarchy into it. Purely an
   /// observer: golden trace fingerprints are unchanged. Not owned; must
-  /// outlive the run. One profiler per run - runs on the sweep's thread
-  /// pool must not share one (ProfileSink hands each run its own).
+  /// outlive the run. One profiler per run - the sweep's concurrent
+  /// runs must not share one (with a ProfileSink each gets its own).
   obs::Profiler* profiler = nullptr;
   /// Synthetic workload layered on top of the paper scenario: node churn,
   /// announcement storms, or link saturation (kStatic leaves the run

@@ -1,17 +1,12 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
 #include <iosfwd>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <tuple>
 #include <vector>
 
 #include "sdcm/check/oracle.hpp"
@@ -42,7 +37,7 @@ struct RunEvent {
 /// Observer of a streaming sweep. The engine serializes every callback
 /// under one lock (calls arrive on worker threads, but never two at
 /// once), so implementations need no locking of their own; they must
-/// only avoid blocking for long, since they stall the pool's result
+/// only avoid blocking for long, since they stall every worker's result
 /// path.
 class RunSink {
  public:
@@ -58,17 +53,34 @@ class RunSink {
   virtual void on_campaign_end(const CampaignSummary& summary);
 };
 
+// The three sinks below are not RunSinks: each run needs its own trace
+// file, oracle or profiler, so run_sweep's worker creates that object
+// before the run, owns it for the run, and hands it back under the
+// engine's result lock after the regular sink's on_run. Wire them via
+// SweepConfig::{trace_sink, check_sink, profile_sink}. Like every
+// RunSink they need no locking, and their results are read after
+// run_sweep returns (or from a RunSink callback, under the same lock).
+
 /// Streams every run's full trace to its own JSONL file under a
 /// directory, plus a manifest.jsonl indexing the files with their
-/// fingerprints. Wire it via SweepConfig::trace_sink (NOT the regular
-/// `sink` chain - run_sweep drives its callbacks itself, after the
-/// regular sink's): the engine calls open_run on the worker thread
-/// before each run and installs the returned writer as the run's
-/// ExperimentConfig::trace_writer; on_run then closes the file and
-/// appends the manifest line. Totals are atomics so a ProgressSink can
-/// report the trace backlog live from another thread.
-class TraceSink final : public RunSink {
+/// fingerprints.
+class TraceSink final {
  public:
+  /// One run's open trace file; its writer is the run's
+  /// ExperimentConfig::trace_writer.
+  struct RunFile {
+    /// Opens `directory`/run_file_name(model, lambda_index, run); throws
+    /// std::runtime_error when the file cannot be opened.
+    RunFile(const std::string& directory, SystemModel model,
+            std::size_t lambda_index, int run);
+    RunFile(const RunFile&) = delete;
+    RunFile& operator=(const RunFile&) = delete;
+
+    std::string name;
+    std::ofstream out;
+    obs::JsonlTraceWriter writer;
+  };
+
   /// Creates `directory` (and parents) if needed; throws
   /// std::runtime_error when it cannot be created or written.
   explicit TraceSink(std::string directory);
@@ -77,58 +89,35 @@ class TraceSink final : public RunSink {
   static std::string run_file_name(SystemModel model,
                                    std::size_t lambda_index, int run);
 
-  /// Opens the run's trace file and returns the writer to install as the
-  /// run's trace_writer. Thread-safe; the writer stays valid until the
-  /// matching on_run. Throws std::runtime_error when the file cannot be
-  /// opened.
-  [[nodiscard]] sim::TraceWriter* open_run(SystemModel model,
-                                           std::size_t lambda_index, int run);
-
-  void on_campaign_begin(const SweepConfig& config,
-                         std::uint64_t total_runs) override;
-  void on_run(const RunEvent& event) override;
-  void on_campaign_end(const CampaignSummary& summary) override;
+  /// Flushes the finished run's file and appends its manifest line.
+  void close_run(const RunEvent& event, RunFile& file);
+  /// Flushes the manifest; run_sweep calls it after the last run.
+  void flush();
 
   [[nodiscard]] const std::string& directory() const noexcept {
     return directory_;
   }
   /// Trace records streamed to disk so far (all finished runs).
   [[nodiscard]] std::uint64_t records_written() const noexcept {
-    return records_.load(std::memory_order_relaxed);
+    return records_;
   }
   /// Bytes flushed to finished trace files so far.
   [[nodiscard]] std::uint64_t bytes_flushed() const noexcept {
-    return bytes_.load(std::memory_order_relaxed);
+    return bytes_;
   }
 
  private:
-  struct OpenRun {
-    std::ofstream out;
-    obs::JsonlTraceWriter writer;
-    std::string file;
-
-    explicit OpenRun(const std::string& path)
-        : out(path, std::ios::trunc), writer(out) {}
-  };
-  using RunKey = std::tuple<SystemModel, std::size_t, int>;
-
   std::string directory_;
   std::ofstream manifest_;
-  std::mutex mutex_;  // guards open_ and manifest_
-  std::map<RunKey, std::unique_ptr<OpenRun>> open_;
-  std::atomic<std::uint64_t> records_{0};
-  std::atomic<std::uint64_t> bytes_{0};
+  std::uint64_t records_ = 0;
+  std::uint64_t bytes_ = 0;
 };
 
-/// Runs the consistency oracle over every run of a campaign. Wire it
-/// via SweepConfig::check_sink (NOT the regular `sink` chain - like
-/// TraceSink the engine drives it itself): the engine calls open_run on
-/// the worker thread before each run and installs the returned oracle
-/// as the run's ExperimentConfig::oracle; on_run then finishes the
-/// oracle and folds its report into the campaign verdict. Convergence
-/// is never required for UPnP runs (the model legitimately strands
-/// users whose subscription lapsed mid-outage).
-class CheckSink final : public RunSink {
+/// Runs the consistency oracle over every run of a campaign and folds
+/// each run's report into the campaign verdict. Convergence is never
+/// required for UPnP runs (the model legitimately strands users whose
+/// subscription lapsed mid-outage).
+class CheckSink final {
  public:
   /// One oracle violation, tagged with the run it came from.
   struct CampaignViolation {
@@ -141,23 +130,20 @@ class CheckSink final : public RunSink {
 
   explicit CheckSink(check::OracleConfig base = {});
 
-  /// Creates the run's oracle and returns it for installation as the
-  /// run's ExperimentConfig::oracle. Thread-safe; the oracle stays
-  /// valid until the matching on_run.
-  [[nodiscard]] check::ConsistencyOracle* open_run(SystemModel model,
-                                                   std::size_t lambda_index,
-                                                   int run);
+  /// The configuration of one run's oracle: the base config, demanding
+  /// convergence only where `model`'s protocol promises it.
+  [[nodiscard]] check::OracleConfig oracle_config(SystemModel model) const;
 
-  void on_run(const RunEvent& event) override;
+  /// Folds the finished run's oracle report into the campaign verdict.
+  void add(const RunEvent& event, check::OracleReport report);
 
   [[nodiscard]] std::uint64_t runs_checked() const noexcept {
-    return runs_checked_.load(std::memory_order_relaxed);
+    return runs_checked_;
   }
   [[nodiscard]] std::uint64_t violation_total() const noexcept {
-    return violation_total_.load(std::memory_order_relaxed);
+    return violation_total_;
   }
-  /// Stored violations (each run caps its own; see OracleConfig). Only
-  /// read after run_sweep returns.
+  /// Stored violations (each run caps its own; see OracleConfig).
   [[nodiscard]] const std::vector<CampaignViolation>& violations()
       const noexcept {
     return violations_;
@@ -166,52 +152,33 @@ class CheckSink final : public RunSink {
   void write_report(std::ostream& out) const;
 
  private:
-  using RunKey = std::tuple<SystemModel, std::size_t, int>;
-
   check::OracleConfig base_;
-  mutable std::mutex mutex_;  // guards open_ and violations_
-  std::map<RunKey, std::unique_ptr<check::ConsistencyOracle>> open_;
   std::vector<CampaignViolation> violations_;
-  std::atomic<std::uint64_t> runs_checked_{0};
-  std::atomic<std::uint64_t> violation_total_{0};
+  std::uint64_t runs_checked_ = 0;
+  std::uint64_t violation_total_ = 0;
 };
 
 /// Aggregates every run's wall-clock profile (obs::Profiler) into a
-/// per-model CampaignProfile. Wire it via SweepConfig::profile_sink
-/// (NOT the regular `sink` chain - like TraceSink the engine drives it
-/// itself): the engine calls open_run on the worker thread before each
-/// run and installs the returned profiler as the run's
-/// ExperimentConfig::profiler; on_run - the engine calls it after every
-/// other sink so the engine-side phases are already recorded - then
-/// snapshots and folds the run into the campaign aggregate. Read
-/// campaign() only after run_sweep returns.
-class ProfileSink final : public RunSink {
+/// per-model CampaignProfile. The engine adds each run's snapshot after
+/// every other sink, so the engine-side phases (phase.sink_flush,
+/// phase.oracle_check) are already recorded in it.
+class ProfileSink final {
  public:
   ProfileSink() = default;
 
-  /// Creates the run's profiler and returns it for installation as the
-  /// run's ExperimentConfig::profiler. Thread-safe; the profiler stays
-  /// valid until the matching on_run.
-  [[nodiscard]] obs::Profiler* open_run(SystemModel model,
-                                        std::size_t lambda_index, int run);
-
-  void on_run(const RunEvent& event) override;
+  /// Folds the finished run's profile into the campaign aggregate.
+  void add(const RunEvent& event, const obs::RunProfile& profile);
 
   [[nodiscard]] std::uint64_t runs_profiled() const noexcept {
-    return runs_profiled_.load(std::memory_order_relaxed);
+    return runs_profiled_;
   }
-  /// The campaign aggregate; only read after run_sweep returns.
   [[nodiscard]] const CampaignProfile& campaign() const noexcept {
     return campaign_;
   }
 
  private:
-  using RunKey = std::tuple<SystemModel, std::size_t, int>;
-
-  std::mutex mutex_;  // guards open_
-  std::map<RunKey, std::unique_ptr<obs::Profiler>> open_;
-  CampaignProfile campaign_;  // mutated only under the engine's lock
-  std::atomic<std::uint64_t> runs_profiled_{0};
+  CampaignProfile campaign_;
+  std::uint64_t runs_profiled_ = 0;
 };
 
 /// Live progress on a stream (stderr in sdcm_sweep): done/total,
@@ -280,28 +247,21 @@ class MultiSink final : public RunSink {
   std::vector<RunSink*> sinks_;
 };
 
-/// The `sdcm_campaign` version JsonlSink writes. Version 2 logs come
-/// from the single subscriber-only multicast path and carry neither a
-/// fan-out mode nor the aggregate UDP drop key. Version 1 logs still
-/// parse, so they can be rendered, but merge_jsonl refuses them: they
-/// may hold any of three older multicast RNG streams.
+/// The `sdcm_campaign` version JsonlSink writes, and the only one the
+/// reader accepts. Version 2 logs come from the single subscriber-only
+/// multicast path; version 1 logs may hold any of three older multicast
+/// RNG streams, so nothing reads them.
 inline constexpr std::uint64_t kCampaignLogVersion = 2;
 
 /// The campaign header line of a JSONL log.
 struct CampaignHeader {
-  std::uint64_t version = kCampaignLogVersion;
   std::vector<SystemModel> models;
   std::vector<double> lambdas;
   int runs = 0;
   int users = 0;
-  /// Topology axes beyond the user count; logs predating the typed
-  /// TopologySpec parse as the paper defaults (1 manager, model-default
-  /// registries).
   int managers = 1;
   int registries = -1;
   std::uint64_t seed = 0;
-  /// Workload generator the campaign ran under; logs predating the
-  /// workload engine parse as kStatic.
   WorkloadKind workload = WorkloadKind::kStatic;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
@@ -320,19 +280,20 @@ struct CampaignRun {
 };
 
 /// Parses the first line of a JSONL log. Returns std::nullopt with a
-/// message on `error` when the line is not a campaign header.
+/// message on `error` when the line is not a kCampaignLogVersion
+/// campaign header, or when an integer does not fit its field.
 std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
                                                  std::string& error);
 
-/// Parses one run line of a JSONL log.
+/// Parses one run line of a JSONL log; an integer that does not fit its
+/// field is an error, as in parse_jsonl_header.
 std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
                                            std::string& error);
 
 /// Merges shard logs (each produced by JsonlSink over the same campaign
-/// config) back into the full sweep: every header must carry
-/// kCampaignLogVersion and agree on (models, lambdas, runs, topology,
-/// seed, workload), every (point, run)
-/// must appear exactly once across the inputs, and the rebuilt
+/// config) back into the full sweep: every header must parse and agree
+/// on (models, lambdas, runs, topology, seed, workload), every (point,
+/// run) must appear exactly once across the inputs, and the rebuilt
 /// summaries are bit-identical to the unsharded run_sweep result. On
 /// failure returns std::nullopt with a message on `error`.
 std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,

@@ -89,22 +89,22 @@ struct SweepConfig {
   /// null). See sink.hpp for the built-in sinks.
   RunSink* sink = nullptr;
   /// Streams every run's full trace to per-run JSONL files (non-owning;
-  /// may be null). Driven by the engine itself - open_run on the worker
-  /// thread before each run, callbacks after the regular `sink`'s - so
-  /// do not also register it in the `sink` chain.
+  /// may be null). The worker running each job opens that run's file,
+  /// installs its writer as the run's trace_writer, and hands it back
+  /// after the regular `sink`'s on_run.
   TraceSink* trace_sink = nullptr;
   /// Runs the consistency oracle over every run (non-owning; may be
-  /// null). Driven by the engine like trace_sink: open_run before each
-  /// run, callbacks after the regular `sink`'s. Composes with
-  /// trace_sink - the oracle tees the trace stream downstream.
+  /// null). Each worker owns its run's oracle like trace_sink's file and
+  /// hands the report back after the regular `sink`'s on_run. Composes
+  /// with trace_sink - the oracle tees the trace stream downstream.
   CheckSink* check_sink = nullptr;
-  /// Profiles every run's wall clock (non-owning; may be null). Driven
-  /// by the engine like trace_sink: open_run hands each run its own
-  /// obs::Profiler (installed as ExperimentConfig::profiler), and the
-  /// engine's sink/oracle callbacks are themselves timed into the
-  /// run's phase.sink_flush / phase.oracle_check before the profile is
-  /// folded into the campaign aggregate. Per-event attribution needs a
-  /// -DSDCM_PROFILE=ON build; phase timers work in every build.
+  /// Profiles every run's wall clock (non-owning; may be null). Each
+  /// worker gives its run its own obs::Profiler (installed as
+  /// ExperimentConfig::profiler), times the engine's sink/oracle
+  /// callbacks into the run's phase.sink_flush / phase.oracle_check,
+  /// and then folds the profile into the campaign aggregate. Per-event
+  /// attribution needs a -DSDCM_PROFILE=ON build; phase timers work in
+  /// every build.
   ProfileSink* profile_sink = nullptr;
 
   static std::vector<double> paper_lambda_grid();
@@ -182,10 +182,13 @@ std::uint64_t run_seed(std::uint64_t master_seed, SystemModel model,
 std::size_t shard_of(SystemModel model, std::size_t lambda_index,
                      int run_index, std::size_t shard_count);
 
-/// Executes the (shard of the) sweep on a thread pool, streaming each
-/// completed run into the per-point StreamingSummary aggregation and
-/// the optional sink. Points are ordered by (model, lambda) exactly as
-/// configured. Throws std::invalid_argument when validate() fails.
+/// Executes the (shard of the) sweep on `threads` threads (see
+/// parallel_for), streaming each completed run into the per-point
+/// StreamingSummary aggregation and the optional sinks. Points are
+/// ordered by (model, lambda) exactly as configured. Throws
+/// std::invalid_argument when validate() fails. A run that throws does
+/// not stop the others; it reaches no sink, and the first such
+/// exception is rethrown after every other run has finished.
 SweepResult run_sweep(const SweepConfig& config);
 
 }  // namespace sdcm::experiment

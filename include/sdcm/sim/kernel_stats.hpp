@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 
 namespace sdcm::sim {
 
@@ -74,26 +75,48 @@ struct KernelStats {
   void reset() noexcept { *this = KernelStats{}; }
 };
 
+/// One KernelStats counter: its JSON key, its member, and whether it
+/// folds across runs as a high-water mark (max) instead of a sum.
+struct KernelStatsField {
+  const char* name;
+  std::uint64_t KernelStats::*member;
+  bool peak;
+};
+
+/// Every KernelStats counter, in the key order of the campaign log's and
+/// the campaign summary's "kernel" objects. Walked by accumulate, the
+/// campaign-log writer and reader, and the summary writer.
+inline constexpr KernelStatsField kKernelStatsFields[] = {
+    {"events_scheduled", &KernelStats::events_scheduled, false},
+    {"events_cancelled", &KernelStats::events_cancelled, false},
+    {"events_fired", &KernelStats::events_fired, false},
+    {"peak_heap_size", &KernelStats::peak_heap_size, true},
+    {"callback_heap_allocs", &KernelStats::callback_heap_allocs, false},
+    {"udp_sent", &KernelStats::udp_sent, false},
+    {"udp_copies_dropped_tx", &KernelStats::udp_copies_dropped_tx, false},
+    {"udp_deliveries_dropped_rx", &KernelStats::udp_deliveries_dropped_rx,
+     false},
+    {"udp_deliveries_skipped", &KernelStats::udp_deliveries_skipped, false},
+    {"tcp_sent", &KernelStats::tcp_sent, false},
+    {"tcp_dropped", &KernelStats::tcp_dropped, false},
+    {"capacity_dropped", &KernelStats::capacity_dropped, false},
+    {"capacity_delayed", &KernelStats::capacity_delayed, false},
+    {"capacity_queue_peak", &KernelStats::capacity_queue_peak, true},
+    {"trace_records", &KernelStats::trace_records, false},
+};
+static_assert(std::size(kKernelStatsFields) * sizeof(std::uint64_t) ==
+                  sizeof(KernelStats),
+              "every KernelStats counter needs a kKernelStatsFields row");
+
 /// Folds one run's counters into a campaign-level total: every counter
-/// adds, except the heap high-water mark, which only makes sense as a
-/// max across runs.
+/// adds, except the high-water marks, which only make sense as a max
+/// across runs.
 inline void accumulate(KernelStats& total, const KernelStats& run) noexcept {
-  total.events_scheduled += run.events_scheduled;
-  total.events_cancelled += run.events_cancelled;
-  total.events_fired += run.events_fired;
-  total.peak_heap_size = std::max(total.peak_heap_size, run.peak_heap_size);
-  total.callback_heap_allocs += run.callback_heap_allocs;
-  total.udp_sent += run.udp_sent;
-  total.udp_copies_dropped_tx += run.udp_copies_dropped_tx;
-  total.udp_deliveries_dropped_rx += run.udp_deliveries_dropped_rx;
-  total.udp_deliveries_skipped += run.udp_deliveries_skipped;
-  total.tcp_sent += run.tcp_sent;
-  total.tcp_dropped += run.tcp_dropped;
-  total.capacity_dropped += run.capacity_dropped;
-  total.capacity_delayed += run.capacity_delayed;
-  total.capacity_queue_peak =
-      std::max(total.capacity_queue_peak, run.capacity_queue_peak);
-  total.trace_records += run.trace_records;
+  for (const KernelStatsField& field : kKernelStatsFields) {
+    std::uint64_t& folded = total.*field.member;
+    const std::uint64_t value = run.*field.member;
+    folded = field.peak ? std::max(folded, value) : folded + value;
+  }
 }
 
 }  // namespace sdcm::sim

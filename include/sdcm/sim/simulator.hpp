@@ -16,7 +16,7 @@ namespace sdcm::sim {
 /// The discrete-event simulation engine: a clock, an event queue, the
 /// run's master random stream, and the trace log. One Simulator instance
 /// is one simulation run; runs are completely independent, which is what
-/// lets the experiment harness execute them on a thread pool.
+/// lets the experiment harness execute them on parallel threads.
 class Simulator {
  public:
   explicit Simulator(std::uint64_t seed) : rng_(seed) {

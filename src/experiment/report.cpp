@@ -152,22 +152,13 @@ void write_campaign_summary_json(std::ostream& os,
   u64("wall_ns", summary.wall_ns);
   u64("run_wall_ns_total", summary.run_wall_ns_total);
   dbl("sim_seconds_total", summary.sim_seconds_total);
-  os << "\"kernel\":{";
-  u64("events_scheduled", summary.kernel.events_scheduled);
-  u64("events_cancelled", summary.kernel.events_cancelled);
-  u64("events_fired", summary.kernel.events_fired);
-  u64("peak_heap_size", summary.kernel.peak_heap_size);
-  u64("callback_heap_allocs", summary.kernel.callback_heap_allocs);
-  u64("udp_sent", summary.kernel.udp_sent);
-  u64("udp_copies_dropped_tx", summary.kernel.udp_copies_dropped_tx);
-  u64("udp_deliveries_dropped_rx", summary.kernel.udp_deliveries_dropped_rx);
-  u64("udp_deliveries_skipped", summary.kernel.udp_deliveries_skipped);
-  u64("tcp_sent", summary.kernel.tcp_sent);
-  u64("tcp_dropped", summary.kernel.tcp_dropped);
-  u64("capacity_dropped", summary.kernel.capacity_dropped);
-  u64("capacity_delayed", summary.kernel.capacity_delayed);
-  u64("capacity_queue_peak", summary.kernel.capacity_queue_peak);
-  u64("trace_records", summary.kernel.trace_records, false);
+  os << "\"kernel\":";
+  char sep = '{';
+  for (const sim::KernelStatsField& field : sim::kKernelStatsFields) {
+    os << sep;
+    u64(field.name, summary.kernel.*field.member, false);
+    sep = ',';
+  }
   os << "},";
   dbl("runs_per_second", summary.runs_per_second());
   dbl("events_per_second", summary.events_per_second());

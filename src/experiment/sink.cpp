@@ -9,6 +9,7 @@
 #include <fstream>
 #include <iostream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <stdexcept>
 #include <utility>
@@ -91,36 +92,14 @@ using jsonu::append_quoted;
 using jsonu::append_u64;
 
 void append_kernel(std::string& out, const sim::KernelStats& k) {
-  out += "{\"events_scheduled\":";
-  append_u64(out, k.events_scheduled);
-  out += ",\"events_cancelled\":";
-  append_u64(out, k.events_cancelled);
-  out += ",\"events_fired\":";
-  append_u64(out, k.events_fired);
-  out += ",\"peak_heap_size\":";
-  append_u64(out, k.peak_heap_size);
-  out += ",\"callback_heap_allocs\":";
-  append_u64(out, k.callback_heap_allocs);
-  out += ",\"udp_sent\":";
-  append_u64(out, k.udp_sent);
-  out += ",\"udp_copies_dropped_tx\":";
-  append_u64(out, k.udp_copies_dropped_tx);
-  out += ",\"udp_deliveries_dropped_rx\":";
-  append_u64(out, k.udp_deliveries_dropped_rx);
-  out += ",\"udp_deliveries_skipped\":";
-  append_u64(out, k.udp_deliveries_skipped);
-  out += ",\"tcp_sent\":";
-  append_u64(out, k.tcp_sent);
-  out += ",\"tcp_dropped\":";
-  append_u64(out, k.tcp_dropped);
-  out += ",\"capacity_dropped\":";
-  append_u64(out, k.capacity_dropped);
-  out += ",\"capacity_delayed\":";
-  append_u64(out, k.capacity_delayed);
-  out += ",\"capacity_queue_peak\":";
-  append_u64(out, k.capacity_queue_peak);
-  out += ",\"trace_records\":";
-  append_u64(out, k.trace_records);
+  char sep = '{';
+  for (const sim::KernelStatsField& field : sim::kKernelStatsFields) {
+    out += sep;
+    append_quoted(out, field.name);
+    out += ':';
+    append_u64(out, k.*field.member);
+    sep = ',';
+  }
   out += '}';
 }
 
@@ -208,38 +187,19 @@ void JsonlSink::on_run(const RunEvent& event) {
 
 CheckSink::CheckSink(check::OracleConfig base) : base_(base) {}
 
-check::ConsistencyOracle* CheckSink::open_run(SystemModel model,
-                                              std::size_t lambda_index,
-                                              int run) {
+check::OracleConfig CheckSink::oracle_config(SystemModel model) const {
   check::OracleConfig config = base_;
   // The registry's behaviour sheet says whether this protocol promises
   // eventual consistency; only then may the oracle demand convergence.
   if (!protocol_descriptor(model).spec.guarantees_convergence) {
     config.require_convergence = false;
   }
-  auto oracle = std::make_unique<check::ConsistencyOracle>(config);
-  check::ConsistencyOracle* out = oracle.get();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  open_[RunKey{model, lambda_index, run}] = std::move(oracle);
-  return out;
+  return config;
 }
 
-void CheckSink::on_run(const RunEvent& event) {
-  std::unique_ptr<check::ConsistencyOracle> oracle;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it =
-        open_.find(RunKey{event.model, event.lambda_index, event.run});
-    if (it == open_.end()) return;  // run executed without open_run
-    oracle = std::move(it->second);
-    open_.erase(it);
-  }
-  check::OracleReport report = oracle->finish();
-  runs_checked_.fetch_add(1, std::memory_order_relaxed);
-  violation_total_.fetch_add(report.violation_total,
-                             std::memory_order_relaxed);
-  if (report.violations.empty()) return;
-  const std::lock_guard<std::mutex> lock(mutex_);
+void CheckSink::add(const RunEvent& event, check::OracleReport report) {
+  ++runs_checked_;
+  violation_total_ += report.violation_total;
   for (check::Violation& violation : report.violations) {
     violations_.push_back(CampaignViolation{event.model, event.lambda,
                                             event.run, event.seed,
@@ -248,7 +208,6 @@ void CheckSink::on_run(const RunEvent& event) {
 }
 
 void CheckSink::write_report(std::ostream& out) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
   out << "check: " << runs_checked() << " runs checked, "
       << violation_total() << " violation(s)\n";
   for (const CampaignViolation& v : violations_) {
@@ -262,28 +221,9 @@ void CheckSink::write_report(std::ostream& out) const {
 // ProfileSink
 // ---------------------------------------------------------------------
 
-obs::Profiler* ProfileSink::open_run(SystemModel model,
-                                     std::size_t lambda_index, int run) {
-  auto profiler = std::make_unique<obs::Profiler>();
-  obs::Profiler* out = profiler.get();
-  const std::lock_guard<std::mutex> lock(mutex_);
-  open_[RunKey{model, lambda_index, run}] = std::move(profiler);
-  return out;
-}
-
-void ProfileSink::on_run(const RunEvent& event) {
-  std::unique_ptr<obs::Profiler> profiler;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it =
-        open_.find(RunKey{event.model, event.lambda_index, event.run});
-    if (it == open_.end()) return;  // run executed without open_run
-    profiler = std::move(it->second);
-    open_.erase(it);
-  }
-  // The engine serializes on_run callbacks, so campaign_ needs no lock.
-  campaign_.add(to_string(event.model), profiler->snapshot());
-  runs_profiled_.fetch_add(1, std::memory_order_relaxed);
+void ProfileSink::add(const RunEvent& event, const obs::RunProfile& profile) {
+  campaign_.add(to_string(event.model), profile);
+  ++runs_profiled_;
 }
 
 // ---------------------------------------------------------------------
@@ -312,40 +252,24 @@ std::string TraceSink::run_file_name(SystemModel model,
   return "trace_" + std::string(to_string(model)) + buf;
 }
 
-sim::TraceWriter* TraceSink::open_run(SystemModel model,
-                                      std::size_t lambda_index, int run) {
-  const std::string file = run_file_name(model, lambda_index, run);
-  auto opened = std::make_unique<OpenRun>(directory_ + "/" + file);
-  opened->file = file;
-  if (!opened->out) {
-    throw std::runtime_error("TraceSink: cannot write " + directory_ + "/" +
-                             file);
+TraceSink::RunFile::RunFile(const std::string& directory, SystemModel model,
+                            std::size_t lambda_index, int run)
+    : name(run_file_name(model, lambda_index, run)),
+      out(directory + "/" + name, std::ios::trunc),
+      writer(out) {
+  if (!out) {
+    throw std::runtime_error("TraceSink: cannot write " + directory + "/" +
+                             name);
   }
-  sim::TraceWriter* writer = &opened->writer;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  open_[RunKey{model, lambda_index, run}] = std::move(opened);
-  return writer;
 }
 
-void TraceSink::on_campaign_begin(const SweepConfig&, std::uint64_t) {}
-
-void TraceSink::on_run(const RunEvent& event) {
-  std::unique_ptr<OpenRun> done;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it =
-        open_.find(RunKey{event.model, event.lambda_index, event.run});
-    if (it == open_.end()) return;  // run executed without open_run
-    done = std::move(it->second);
-    open_.erase(it);
-  }
-  done->out.flush();
-  records_.fetch_add(done->writer.records_written(),
-                     std::memory_order_relaxed);
-  bytes_.fetch_add(done->writer.bytes_written(), std::memory_order_relaxed);
+void TraceSink::close_run(const RunEvent& event, RunFile& file) {
+  file.out.flush();
+  records_ += file.writer.records_written();
+  bytes_ += file.writer.bytes_written();
 
   std::string line = "{\"file\":";
-  append_quoted(line, done->file);
+  append_quoted(line, file.name);
   line += ",\"model\":";
   append_quoted(line, to_string(event.model));
   line += ",\"lambda\":";
@@ -357,20 +281,16 @@ void TraceSink::on_run(const RunEvent& event) {
   line += ",\"seed\":";
   append_u64(line, event.seed);
   line += ",\"records\":";
-  append_u64(line, done->writer.records_written());
+  append_u64(line, file.writer.records_written());
   line += ",\"bytes\":";
-  append_u64(line, done->writer.bytes_written());
+  append_u64(line, file.writer.bytes_written());
   line += ",\"trace_fingerprint\":";
   append_u64(line, event.record->trace_fingerprint);
   line += "}\n";
-  const std::lock_guard<std::mutex> lock(mutex_);
   manifest_ << line;
 }
 
-void TraceSink::on_campaign_end(const CampaignSummary&) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  manifest_.flush();
-}
+void TraceSink::flush() { manifest_.flush(); }
 
 // ---------------------------------------------------------------------
 // MultiSink
@@ -438,38 +358,26 @@ std::optional<SystemModel> model_by_name(std::string_view name) {
   return model_from_name(name);  // protocol registry name map
 }
 
-bool parse_kernel(const JsonValue& obj, sim::KernelStats& out,
-                  std::string& error) {
-  if (!(get_u64(obj, "events_scheduled", out.events_scheduled, error) &&
-        get_u64(obj, "events_cancelled", out.events_cancelled, error) &&
-        get_u64(obj, "events_fired", out.events_fired, error) &&
-        get_u64(obj, "peak_heap_size", out.peak_heap_size, error) &&
-        get_u64(obj, "callback_heap_allocs", out.callback_heap_allocs,
-                error) &&
-        get_u64(obj, "udp_sent", out.udp_sent, error) &&
-        get_u64(obj, "tcp_sent", out.tcp_sent, error) &&
-        get_u64(obj, "tcp_dropped", out.tcp_dropped, error) &&
-        get_u64(obj, "capacity_dropped", out.capacity_dropped, error) &&
-        get_u64(obj, "capacity_delayed", out.capacity_delayed, error) &&
-        get_u64(obj, "capacity_queue_peak", out.capacity_queue_peak, error) &&
-        get_u64(obj, "trace_records", out.trace_records, error))) {
+/// An int field, range-checked in 64 bits before it narrows.
+bool get_int(const JsonValue& obj, const char* key, int& out,
+             std::string& error) {
+  std::int64_t value = 0;
+  if (!get_i64(obj, key, value, error)) return false;
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    error = std::string("field '") + key + "' is out of range";
     return false;
   }
-  // UDP drop units: logs written since the tx/rx split carry the split
-  // fields plus the scoped-fan-out skip counter; older logs carry only
-  // the aggregate, which folds into the rx bucket (multicast rx drops
-  // dominated it).
-  if (obj.find("udp_copies_dropped_tx") != nullptr) {
-    return get_u64(obj, "udp_copies_dropped_tx", out.udp_copies_dropped_tx,
-                   error) &&
-           get_u64(obj, "udp_deliveries_dropped_rx",
-                   out.udp_deliveries_dropped_rx, error) &&
-           get_u64(obj, "udp_deliveries_skipped", out.udp_deliveries_skipped,
-                   error);
+  out = static_cast<int>(value);
+  return true;
+}
+
+bool parse_kernel(const JsonValue& obj, sim::KernelStats& out,
+                  std::string& error) {
+  for (const sim::KernelStatsField& field : sim::kKernelStatsFields) {
+    if (!get_u64(obj, field.name, out.*field.member, error)) return false;
   }
-  out.udp_copies_dropped_tx = 0;
-  out.udp_deliveries_skipped = 0;
-  return get_u64(obj, "udp_dropped", out.udp_deliveries_dropped_rx, error);
+  return true;
 }
 
 }  // namespace
@@ -482,14 +390,14 @@ std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
     error = "header line is not a JSON object";
     return std::nullopt;
   }
+  std::uint64_t version = 0;
+  if (!get_u64(root, "sdcm_campaign", version, error)) return std::nullopt;
+  if (version != kCampaignLogVersion) {
+    error = "unsupported campaign log version " + std::to_string(version) +
+            " (only " + std::to_string(kCampaignLogVersion) + ")";
+    return std::nullopt;
+  }
   CampaignHeader header;
-  if (!get_u64(root, "sdcm_campaign", header.version, error)) {
-    return std::nullopt;
-  }
-  if (header.version < 1 || header.version > kCampaignLogVersion) {
-    error = "unsupported campaign log version";
-    return std::nullopt;
-  }
   const JsonValue* models = root.find("models");
   if (models == nullptr || models->type != JsonValue::Type::kArray ||
       models->items.empty()) {
@@ -523,60 +431,42 @@ std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
     header.lambdas.push_back(lambda);
   }
 
-  std::int64_t runs = 0;
-  std::int64_t users = 0;
   std::uint64_t shard_index = 0;
   std::uint64_t shard_count = 1;
-  if (!get_i64(root, "runs", runs, error) ||
-      !get_i64(root, "users", users, error) ||
+  if (!get_int(root, "runs", header.runs, error) ||
+      !get_int(root, "users", header.users, error) ||
+      !get_int(root, "managers", header.managers, error) ||
+      !get_int(root, "registries", header.registries, error) ||
       !get_u64(root, "seed", header.seed, error) ||
       !get_u64(root, "shard_index", shard_index, error) ||
       !get_u64(root, "shard_count", shard_count, error)) {
     return std::nullopt;
   }
-  if (runs <= 0 || users <= 0) {
+  if (header.runs <= 0 || header.users <= 0) {
     error = "runs and users must be positive";
     return std::nullopt;
   }
-  header.runs = static_cast<int>(runs);
-  header.users = static_cast<int>(users);
+  if (header.managers <= 0) {
+    error = "managers must be positive";
+    return std::nullopt;
+  }
+  if (header.registries < -1 || header.registries == 0) {
+    error = "registries must be -1 (model default) or positive";
+    return std::nullopt;
+  }
   header.shard_index = static_cast<std::size_t>(shard_index);
   header.shard_count = static_cast<std::size_t>(shard_count);
-  // Optional for compatibility with pre-TopologySpec logs, which are
-  // all paper-shaped (1 manager, model-default registries).
-  if (root.find("managers") != nullptr) {
-    std::int64_t managers = 0;
-    if (!get_i64(root, "managers", managers, error)) return std::nullopt;
-    if (managers <= 0) {
-      error = "managers must be positive";
-      return std::nullopt;
-    }
-    header.managers = static_cast<int>(managers);
+  const JsonValue* workload = root.find("workload");
+  if (workload == nullptr || workload->type != JsonValue::Type::kString) {
+    error = "missing or invalid field 'workload'";
+    return std::nullopt;
   }
-  if (root.find("registries") != nullptr) {
-    std::int64_t registries = 0;
-    if (!get_i64(root, "registries", registries, error)) return std::nullopt;
-    if (registries < -1 || registries == 0) {
-      error = "registries must be -1 (model default) or positive";
-      return std::nullopt;
-    }
-    header.registries = static_cast<int>(registries);
+  const auto kind = workload_from_name(workload->text);
+  if (!kind) {
+    error = "unknown workload '" + workload->text + "'";
+    return std::nullopt;
   }
-  // Optional for compatibility with pre-workload logs, which are all
-  // static campaigns.
-  if (const JsonValue* workload = root.find("workload");
-      workload != nullptr) {
-    if (workload->type != JsonValue::Type::kString) {
-      error = "field 'workload' must be a string";
-      return std::nullopt;
-    }
-    const auto kind = workload_from_name(workload->text);
-    if (!kind) {
-      error = "unknown workload '" + workload->text + "'";
-      return std::nullopt;
-    }
-    header.workload = *kind;
-  }
+  header.workload = *kind;
   return header;
 }
 
@@ -592,18 +482,16 @@ std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
   CampaignRun out;
   std::uint64_t point = 0;
   std::uint64_t lambda_index = 0;
-  std::int64_t run = 0;
   if (!get_u64(root, "point", point, error) ||
       !get_double(root, "lambda", out.lambda, error) ||
       !get_u64(root, "lambda_index", lambda_index, error) ||
-      !get_i64(root, "run", run, error) ||
+      !get_int(root, "run", out.run, error) ||
       !get_u64(root, "seed", out.seed, error) ||
       !get_u64(root, "wall_ns", out.wall_ns, error)) {
     return std::nullopt;
   }
   out.point_index = static_cast<std::size_t>(point);
   out.lambda_index = static_cast<std::size_t>(lambda_index);
-  out.run = static_cast<int>(run);
 
   const JsonValue* model = root.find("model");
   if (model == nullptr || model->type != JsonValue::Type::kString) {
@@ -697,13 +585,6 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
     const auto header = parse_jsonl_header(line, error);
     if (!header) {
       error = where + ": " + error;
-      return std::nullopt;
-    }
-    if (header->version != kCampaignLogVersion) {
-      // Older logs hold another multicast RNG stream and are render-only.
-      error = where + ": campaign log version " +
-              std::to_string(header->version) + " cannot be merged (only " +
-              std::to_string(kCampaignLogVersion) + ")";
       return std::nullopt;
     }
     if (!campaign) {

@@ -3,11 +3,12 @@
 #include <chrono>
 #include <cmath>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/sink.hpp"
-#include "sdcm/experiment/thread_pool.hpp"
+#include "sdcm/experiment/parallel_for.hpp"
 #include "sdcm/obs/profile_site.hpp"
 #include "sdcm/sim/random.hpp"
 
@@ -197,11 +198,6 @@ SweepResult run_sweep(const SweepConfig& config) {
   CheckSink* const check_sink = config.check_sink;
   ProfileSink* const profile_sink = config.profile_sink;
   if (sink != nullptr) sink->on_campaign_begin(config, jobs.size());
-  if (trace_sink != nullptr) trace_sink->on_campaign_begin(config, jobs.size());
-  if (check_sink != nullptr) check_sink->on_campaign_begin(config, jobs.size());
-  if (profile_sink != nullptr) {
-    profile_sink->on_campaign_begin(config, jobs.size());
-  }
   // Engine-side phase sites; the run-side phases live in scenario.cpp.
   const std::uint32_t sink_flush_site = obs::profile_site_id("phase.sink_flush");
   const std::uint32_t oracle_check_site =
@@ -212,8 +208,7 @@ SweepResult run_sweep(const SweepConfig& config) {
   std::mutex reduce_mutex;
   const auto campaign_start = std::chrono::steady_clock::now();
 
-  ThreadPool pool(config.threads);
-  pool.parallel_for(jobs.size(), [&](std::size_t j) {
+  parallel_for(config.threads, jobs.size(), [&](std::size_t j) {
     const Job& job = jobs[j];
     SweepPoint& point = points[job.point];
     ExperimentConfig run_config;
@@ -225,18 +220,20 @@ SweepResult run_sweep(const SweepConfig& config) {
     config.ablation.apply(run_config);
     run_config.workload = config.workload;
     if (config.customize) config.customize(run_config);
+    // This run's attachments: owned here, handed to their sinks below.
+    std::optional<TraceSink::RunFile> trace_file;
+    std::optional<check::ConsistencyOracle> oracle;
+    std::optional<obs::Profiler> profiler;
     if (trace_sink != nullptr) {
-      run_config.trace_writer =
-          trace_sink->open_run(point.model, point.lambda_index, job.run);
+      trace_file.emplace(trace_sink->directory(), point.model,
+                         point.lambda_index, job.run);
+      run_config.trace_writer = &trace_file->writer;
     }
     if (check_sink != nullptr) {
       run_config.oracle =
-          check_sink->open_run(point.model, point.lambda_index, job.run);
+          &oracle.emplace(check_sink->oracle_config(point.model));
     }
-    if (profile_sink != nullptr) {
-      run_config.profiler =
-          profile_sink->open_run(point.model, point.lambda_index, job.run);
-    }
+    if (profile_sink != nullptr) run_config.profiler = &profiler.emplace();
 
     const auto run_start = std::chrono::steady_clock::now();
     metrics::RunRecord record = run_experiment(run_config);
@@ -263,18 +260,20 @@ SweepResult run_sweep(const SweepConfig& config) {
       event.wall_ns = wall_ns;
       event.record = &record;
       // The engine-side sinks are themselves charged to the run's
-      // profile (null-safe scopes); profile_sink goes last so its
+      // profile (null-safe scopes); the profile goes last so its
       // snapshot sees those phases.
       if (sink != nullptr || trace_sink != nullptr) {
         const obs::PhaseScope flush(run_config.profiler, sink_flush_site);
         if (sink != nullptr) sink->on_run(event);
-        if (trace_sink != nullptr) trace_sink->on_run(event);
+        if (trace_sink != nullptr) trace_sink->close_run(event, *trace_file);
       }
       if (check_sink != nullptr) {
         const obs::PhaseScope check(run_config.profiler, oracle_check_site);
-        check_sink->on_run(event);
+        check_sink->add(event, oracle->finish());
       }
-      if (profile_sink != nullptr) profile_sink->on_run(event);
+      if (profile_sink != nullptr) {
+        profile_sink->add(event, profiler->snapshot());
+      }
     }
     if (config.keep_records) {
       point.records[static_cast<std::size_t>(job.run)] = std::move(record);
@@ -291,9 +290,7 @@ SweepResult run_sweep(const SweepConfig& config) {
           std::chrono::steady_clock::now() - campaign_start)
           .count());
   if (sink != nullptr) sink->on_campaign_end(result.summary);
-  if (trace_sink != nullptr) trace_sink->on_campaign_end(result.summary);
-  if (check_sink != nullptr) check_sink->on_campaign_end(result.summary);
-  if (profile_sink != nullptr) profile_sink->on_campaign_end(result.summary);
+  if (trace_sink != nullptr) trace_sink->flush();
   return result;
 }
 

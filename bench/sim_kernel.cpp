@@ -6,9 +6,10 @@
 //     sweep is 5 systems x 19 rates x 30 runs = 2850 simulations).
 //  2. A head-to-head lease-churn workload run through the seed event
 //     queue (binary priority_queue + tombstone cancel + std::function)
-//     and the current slab-backed indexed 4-ary heap, timed with
-//     steady_clock and written to BENCH_sim_kernel.json alongside the
-//     kernel's own counters. CI uploads the JSON as an artifact.
+//     and the current kernel (a callback slab ordered by a 4-ary heap
+//     of keyed entries, with bottom-up erase), timed with steady_clock
+//     and written to BENCH_sim_kernel.json alongside the kernel's own
+//     counters. CI uploads the JSON as an artifact.
 //
 // Environment knobs:
 //   SDCM_BENCH_SMOKE  - nonzero: tiny workload, skip microbenches (CI)

@@ -16,8 +16,9 @@ namespace sdcm::frodo {
 /// periodically until the Registry is discovered"; Users do the same,
 /// which is why FRODO discovers the Registry faster than Jini). The
 /// Central answers announcements with RegistryHere and multicasts
-/// CentralAnnounce on its own cadence. A Central silent for
-/// `central_timeout` is purged and announcing resumes.
+/// CentralAnnounce on its own cadence. Announcing stops once a Central
+/// is known and restarts when a Central silent for `central_timeout` is
+/// purged (lose_central) or when a departed client rejoins.
 ///
 /// Takeovers are followed by epoch: a CentralAnnounce with a higher epoch
 /// (the Backup after promotion) replaces the tracked Central.
@@ -52,7 +53,9 @@ class FrodoClient : public discovery::Node {
   }
 
  protected:
-  /// Begins announcing; call from the subclass's start().
+  /// Begins announcing (one NodeAnnounce now, then one every
+  /// node_announce_period until a Central is known); call from the
+  /// subclass's start().
   void start_client();
 
   /// Routes Central-tracking messages; returns true when consumed.

@@ -158,16 +158,22 @@ class InlineCallback {
 /// breaks ties, which keeps runs deterministic regardless of heap
 /// internals - the exact total order of the seed implementation).
 ///
-/// Layout: entries live in a contiguous slab (`slots_`) recycled through
-/// a free list, and a 4-ary min-heap of slot indices (`heap_`) orders
-/// them. Each slot records its current heap position, so cancel() is a
-/// true O(log n) heap erase instead of the seed's tombstone set - the
-/// protocol models cancel timers constantly (every renewed lease cancels
-/// its expiry timer), and with lazy cancellation the dead entries kept
-/// inflating the heap between pops. 4-ary beats binary here: the hot
-/// loop is pop-dominated (sift-down), and a branching factor of 4 halves
-/// the tree height for one extra compare per level, all within a cache
-/// line of slot indices.
+/// Layout: callbacks live in a contiguous slab (`slots_`) recycled
+/// through a free list, and a 4-ary min-heap (`heap_`) orders them. Each
+/// heap entry carries its own sort key {at, seq} next to its slot index,
+/// so a sift compares keys inside the contiguous heap array and never
+/// loads a slot. A dense side array (`heap_pos_`) records each slot's
+/// heap position, so cancel() is a true O(log n) heap erase instead of
+/// the seed's tombstone set - the protocol models cancel timers
+/// constantly (every renewed lease cancels its expiry timer), and with
+/// lazy cancellation the dead entries kept inflating the heap between
+/// pops. pop() and cancel() erase bottom-up: the hole walks down along
+/// the smallest child to a leaf, and the old last entry sifts up from
+/// there, which saves the compare against the moving entry at every
+/// level of the way down. 4-ary beats binary here: the hot loop is
+/// pop-dominated, and a branching factor of 4 halves the levels (and so
+/// the cache misses) of a walk, at two extra compares per level among
+/// four adjacent entries.
 class EventQueue {
  public:
   using Callback = InlineCallback;
@@ -185,7 +191,7 @@ class EventQueue {
   /// Time of the earliest live event; requires !empty().
   [[nodiscard]] SimTime next_time() const noexcept {
     assert(!heap_.empty());
-    return slots_[heap_[0]].at;
+    return heap_[0].at;
   }
 
   /// Pops and returns the earliest live event. Requires !empty().
@@ -207,35 +213,37 @@ class EventQueue {
  private:
   using SlotIndex = std::uint32_t;
   static constexpr SlotIndex kNoPos = ~SlotIndex{0};
-  static constexpr int kArity = 4;
+  static constexpr std::size_t kArity = 4;
 
   struct Slot {
-    SimTime at = 0;
-    std::uint64_t seq = 0;        // schedule order; the FIFO tie-break
-    std::uint32_t generation = 1; // bumped on release; stale-id guard
-    SlotIndex heap_pos = kNoPos;  // kNoPos = free / not queued
     InlineCallback cb;
+    std::uint32_t generation = 1;  // bumped on release; stale-id guard
+  };
+
+  /// One heap element: the event's sort key and the slot holding it.
+  struct Entry {
+    SimTime at;
+    std::uint64_t seq;  // schedule order; the FIFO tie-break
+    SlotIndex slot;
   };
 
   [[nodiscard]] EventId id_of(SlotIndex index) const noexcept {
     return (std::uint64_t{slots_[index].generation} << 32) | index;
   }
-  [[nodiscard]] bool before(SlotIndex a, SlotIndex b) const noexcept {
-    const Slot& sa = slots_[a];
-    const Slot& sb = slots_[b];
-    if (sa.at != sb.at) return sa.at < sb.at;
-    return sa.seq < sb.seq;
+  [[nodiscard]] static bool before(const Entry& a, const Entry& b) noexcept {
+    if (a.at != b.at) return a.at < b.at;
+    return a.seq < b.seq;
   }
 
   SlotIndex acquire_slot();
   void release_slot(SlotIndex index);
-  void sift_up(std::size_t pos) noexcept;
-  void sift_down(std::size_t pos) noexcept;
+  void sift_up(std::size_t hole, Entry moving) noexcept;
   void heap_erase(std::size_t pos) noexcept;
 
-  std::vector<Slot> slots_;       // the slab; index = low half of EventId
-  std::vector<SlotIndex> heap_;   // 4-ary min-heap of slot indices
-  std::vector<SlotIndex> free_;   // recycled slot indices, LIFO
+  std::vector<Slot> slots_;           // the slab; index = low half of EventId
+  std::vector<SlotIndex> heap_pos_;   // per slot; kNoPos = free / not queued
+  std::vector<Entry> heap_;           // 4-ary min-heap ordered by (at, seq)
+  std::vector<SlotIndex> free_;       // recycled slot indices, LIFO
   std::uint64_t next_seq_ = 1;
   KernelStats local_stats_;
   KernelStats* stats_ = &local_stats_;

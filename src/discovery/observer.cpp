@@ -46,8 +46,10 @@ void ConsistencyObserver::notification_sent(NodeId holder, NodeId user,
 void ConsistencyObserver::user_reached(NodeId user, ServiceVersion version,
                                        sim::SimTime at) {
   if (!tracks(user)) return;
-  const auto [it, inserted] =
-      reached_.emplace(std::make_pair(user, version), at);
+  // try_emplace looks the key up before it builds a node: most reports
+  // repeat a version the User already reached.
+  const bool inserted =
+      reached_.try_emplace(std::make_pair(user, version), at).second;
   if (inserted && on_user_reached) on_user_reached(user, version, at);
 }
 

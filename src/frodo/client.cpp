@@ -73,6 +73,10 @@ void FrodoClient::central_heard(NodeId node, std::uint64_t epoch) {
   if (central_ == sim::kNoNode) {
     central_ = node;
     central_epoch_ = epoch;
+    // Announcing lasts only until a Central is known; lose_central() and
+    // depart() are the only ways back to none, and both restart or stop
+    // the timer themselves.
+    announce_timer_.stop();
     arm_silence_timer();
     trace(sim::TraceCategory::kDiscovery, tag::kCentralDiscovered,
           sim::TraceDetail{}.peer(node));
@@ -116,12 +120,7 @@ void FrodoClient::lose_central() {
   central_ = sim::kNoNode;
   on_central_lost();
   // Resume announcing until a (possibly new) Central is found.
-  send_node_announce();
-  SDCM_PROFILE_TIMER(announce_timer_, "timer.frodo.node_announce");
-  announce_timer_.start(simulator(), config_.node_announce_period,
-                        config_.node_announce_period, [this] {
-                          if (!has_central()) send_node_announce();
-                        });
+  start_client();
 }
 
 }  // namespace sdcm::frodo

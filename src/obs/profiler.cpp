@@ -20,6 +20,17 @@
 #include <malloc.h>
 #endif
 
+// Under AddressSanitizer glibc's malloc is not the allocator in use, and
+// concurrent first mallinfo2() calls read a half-initialised arena, so
+// heap_bytes reads 0 there, as on non-glibc platforms.
+#if defined(__SANITIZE_ADDRESS__)
+#define SDCM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define SDCM_ASAN 1
+#endif
+#endif
+
 namespace sdcm::obs {
 
 namespace {
@@ -99,7 +110,8 @@ MemorySample sample_memory() noexcept {
     sample.peak_rss_kb = static_cast<std::uint64_t>(usage.ru_maxrss);
   }
 #endif
-#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33)
+#if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33) && \
+    !defined(SDCM_ASAN)
   const struct mallinfo2 info = mallinfo2();
   sample.heap_bytes = static_cast<std::uint64_t>(info.uordblks);
 #endif

@@ -13,34 +13,39 @@ EventQueue::SlotIndex EventQueue::acquire_slot() {
   }
   assert(slots_.size() < kNoPos);
   slots_.emplace_back();
+  heap_pos_.push_back(kNoPos);
   return static_cast<SlotIndex>(slots_.size() - 1);
 }
 
 void EventQueue::release_slot(SlotIndex index) {
   Slot& slot = slots_[index];
   slot.cb.reset();
-  slot.heap_pos = kNoPos;
+  heap_pos_[index] = kNoPos;
   // Generation 0 is reserved so no id collides with kInvalidEventId.
   if (++slot.generation == 0) slot.generation = 1;
   free_.push_back(index);
 }
 
-void EventQueue::sift_up(std::size_t pos) noexcept {
-  const SlotIndex moving = heap_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / kArity;
+void EventQueue::sift_up(std::size_t hole, Entry moving) noexcept {
+  while (hole > 0) {
+    const std::size_t parent = (hole - 1) / kArity;
     if (!before(moving, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slots_[heap_[pos]].heap_pos = static_cast<SlotIndex>(pos);
-    pos = parent;
+    heap_[hole] = heap_[parent];
+    heap_pos_[heap_[hole].slot] = static_cast<SlotIndex>(hole);
+    hole = parent;
   }
-  heap_[pos] = moving;
-  slots_[moving].heap_pos = static_cast<SlotIndex>(pos);
+  heap_[hole] = moving;
+  heap_pos_[moving.slot] = static_cast<SlotIndex>(hole);
 }
 
-void EventQueue::sift_down(std::size_t pos) noexcept {
-  const SlotIndex moving = heap_[pos];
+void EventQueue::heap_erase(std::size_t pos) noexcept {
+  const Entry last = heap_.back();
+  heap_.pop_back();
   const std::size_t n = heap_.size();
+  if (pos == n) return;
+  // Walk the hole down along the smallest child to a leaf, then sift the
+  // old last entry up from there: it came from the bottom, so it nearly
+  // always settles near the leaf, and the way down never compares it.
   for (;;) {
     const std::size_t first_child = pos * kArity + 1;
     if (first_child >= n) break;
@@ -49,42 +54,21 @@ void EventQueue::sift_down(std::size_t pos) noexcept {
     for (std::size_t child = first_child + 1; child < end_child; ++child) {
       if (before(heap_[child], heap_[best])) best = child;
     }
-    if (!before(heap_[best], moving)) break;
     heap_[pos] = heap_[best];
-    slots_[heap_[pos]].heap_pos = static_cast<SlotIndex>(pos);
+    heap_pos_[heap_[pos].slot] = static_cast<SlotIndex>(pos);
     pos = best;
   }
-  heap_[pos] = moving;
-  slots_[moving].heap_pos = static_cast<SlotIndex>(pos);
-}
-
-void EventQueue::heap_erase(std::size_t pos) noexcept {
-  const std::size_t last = heap_.size() - 1;
-  if (pos != last) {
-    heap_[pos] = heap_[last];
-    slots_[heap_[pos]].heap_pos = static_cast<SlotIndex>(pos);
-  }
-  heap_.pop_back();
-  if (pos >= heap_.size()) return;
-  // The relocated element can be out of order in either direction.
-  if (pos > 0 && before(heap_[pos], heap_[(pos - 1) / kArity])) {
-    sift_up(pos);
-  } else {
-    sift_down(pos);
-  }
+  sift_up(pos, last);
 }
 
 EventId EventQueue::schedule(SimTime at, Callback cb) {
   const SlotIndex index = acquire_slot();
   Slot& slot = slots_[index];
-  slot.at = at;
-  slot.seq = next_seq_++;
   slot.cb = std::move(cb);
-  heap_.push_back(index);
-  slot.heap_pos = static_cast<SlotIndex>(heap_.size() - 1);
-  sift_up(heap_.size() - 1);
-  ++stats_->events_scheduled;
   if (slot.cb.heap_allocated()) ++stats_->callback_heap_allocs;
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, Entry{at, next_seq_++, index});
+  ++stats_->events_scheduled;
   if (heap_.size() > stats_->peak_heap_size) {
     stats_->peak_heap_size = heap_.size();
   }
@@ -95,20 +79,20 @@ void EventQueue::cancel(EventId id) {
   const auto index = static_cast<SlotIndex>(id & 0xFFFFFFFFull);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
   if (generation == 0 || index >= slots_.size()) return;
-  const Slot& slot = slots_[index];
-  if (slot.generation != generation || slot.heap_pos == kNoPos) return;
-  heap_erase(slot.heap_pos);
+  if (slots_[index].generation != generation || heap_pos_[index] == kNoPos) {
+    return;
+  }
+  heap_erase(heap_pos_[index]);
   release_slot(index);
   ++stats_->events_cancelled;
 }
 
 EventQueue::Fired EventQueue::pop() {
   assert(!heap_.empty());
-  const SlotIndex index = heap_[0];
-  Slot& slot = slots_[index];
-  Fired fired{slot.at, id_of(index), std::move(slot.cb)};
+  const Entry top = heap_[0];
+  Fired fired{top.at, id_of(top.slot), std::move(slots_[top.slot].cb)};
   heap_erase(0);
-  release_slot(index);
+  release_slot(top.slot);
   ++stats_->events_fired;
   return fired;
 }

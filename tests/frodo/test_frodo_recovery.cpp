@@ -73,6 +73,36 @@ TEST_F(FrodoRecoveryFixture, PR1ManagerReRegistersChangedService) {
   EXPECT_GE(simulator.trace().count_event("frodo.notify.tx"), 1u);
 }
 
+TEST_F(FrodoRecoveryFixture, SilentCentralIsPurgedAndAnnouncingResumes) {
+  // Announcing stops once a Central is known, so the purge must restart
+  // it. The Central dies for good at 200 s: both clients stay silent
+  // while they still trust it, purge it central_timeout (1800 s) after
+  // its last word, and from then on each multicasts NodeAnnounce every
+  // node_announce_period (120 s).
+  build();
+  const FrodoConfig config;
+  fail(1, net::FailureMode::kBoth, seconds(200), seconds(5200));
+  simulator.run_until(seconds(200));
+  ASSERT_TRUE(manager->has_central());
+  ASSERT_TRUE(user->has_central());
+  const net::MessageCounters& counters = network.counters();
+  const std::uint64_t at_death = counters.of_type(msg::kNodeAnnounce);
+
+  simulator.run_until(config.central_timeout);  // no purge this early
+  EXPECT_TRUE(manager->has_central());
+  EXPECT_TRUE(user->has_central());
+  EXPECT_EQ(counters.of_type(msg::kNodeAnnounce), at_death);
+
+  simulator.run_until(seconds(2100));
+  ASSERT_FALSE(manager->has_central());
+  ASSERT_FALSE(user->has_central());
+  const std::uint64_t purged = counters.of_type(msg::kNodeAnnounce);
+  EXPECT_GE(purged, at_death + 2);  // one at once from each client
+  constexpr int kPeriods = 10;
+  simulator.run_until(seconds(2100) + kPeriods * config.node_announce_period);
+  EXPECT_EQ(counters.of_type(msg::kNodeAnnounce), purged + 2 * kPeriods);
+}
+
 TEST(FrodoPr1Ablation, WithoutPR1RecoveryIsStrictlySlower) {
   // The Figure 7 ablation: without PR1 the same manager-outage scenario
   // still recovers eventually (the User's periodic PR5 search is a

@@ -175,6 +175,43 @@ TEST_F(ThreePartyFixture, CriticalUpdateUsesSrc1AndSrc2) {
   EXPECT_TRUE(users[0]->versions_seen().contains(3));  // gap recovered
 }
 
+TEST(FrodoAnnouncing, StopsOnceTheCentralIsKnown) {
+  // Clients announce "until the Registry is discovered". Once every
+  // client of topology (a) knows the Central, the run must fire exactly
+  // the events of a run whose announce period outlasts it: a timer left
+  // ticking as a no-op would add one event per client every 120 s.
+  const auto events_after_discovery = [](sim::SimDuration announce_period) {
+    sim::Simulator simulator(4242);
+    net::Network network(simulator);
+    discovery::ConsistencyObserver observer;
+    FrodoConfig config;
+    config.node_announce_period = announce_period;
+    FrodoRegistryNode registry(simulator, network, 1, 100, config);
+    FrodoManager manager(simulator, network, 10, DeviceClass::k3D, config,
+                         &observer);
+    manager.add_service(printer_sd());
+    std::vector<std::unique_ptr<FrodoUser>> users;
+    for (NodeId id = 11; id < 16; ++id) {
+      users.push_back(std::make_unique<FrodoUser>(
+          simulator, network, id, DeviceClass::k3D, printer_req(), config,
+          &observer));
+    }
+    registry.start();
+    manager.start();
+    for (auto& u : users) u->start();
+
+    simulator.run_until(seconds(100));
+    EXPECT_TRUE(manager.has_central());
+    for (const auto& u : users) EXPECT_TRUE(u->has_central());
+    const std::uint64_t discovered = simulator.kernel_stats().events_fired;
+    simulator.run_until(seconds(5400));
+    return simulator.kernel_stats().events_fired - discovered;
+  };
+
+  EXPECT_EQ(events_after_discovery(FrodoConfig{}.node_announce_period),
+            events_after_discovery(seconds(10'000)));
+}
+
 /// Every NotificationRequest the Central (node 1) accepts, with the
 /// version its User declared and the instant it was handled.
 struct InterestLog : net::WireProbe {

@@ -5,6 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "sdcm/sim/random.hpp"
@@ -197,6 +200,102 @@ TEST(EventQueue, InterleavedStormKeepsSizeAndStatsExact) {
   EXPECT_TRUE(pending.empty());
   EXPECT_EQ(q.stats().events_scheduled,
             q.stats().events_fired + q.stats().events_cancelled);
+}
+
+TEST(EventQueue, DeepStormWithTiesKeepsSizeAndStatsExact) {
+  // The storm above at the depth of a churn run: about 20 k pending
+  // events (eight levels of the 4-ary heap), cancels at random heap
+  // positions, stale cancels of recycled slots, and times drawn from a
+  // coarse grid so most pops are decided by the FIFO tie-break. The
+  // reference is an ordered set keyed (at, seq); the cancel victims are
+  // drawn from a swap-and-pop vector, so each round costs O(log n).
+  constexpr std::size_t kDepth = 20'000;
+  constexpr int kRounds = 100'000;
+  EventQueue q;
+  Random rng(4242);
+  std::set<std::tuple<SimTime, std::uint64_t, EventId>> order;
+  struct Pending {
+    EventId id;
+    SimTime at;
+    std::uint64_t seq;
+  };
+  std::vector<Pending> pending;
+  std::unordered_map<EventId, std::size_t> index_of;
+  std::vector<EventId> dead;  // fired or cancelled ids
+  std::uint64_t next_seq = 0;
+  std::uint64_t cancelled = 0;
+  std::uint64_t fired = 0;
+  std::uint64_t max_live = 0;
+  SimTime now = 0;
+
+  const auto schedule = [&] {
+    // 200 distinct instants ahead of now: about 100 events share each.
+    const SimTime at = now + 100 * rng.uniform_int(0, 199);
+    const EventId id = q.schedule(at, [] {});
+    order.emplace(at, next_seq, id);
+    index_of[id] = pending.size();
+    pending.push_back({id, at, next_seq++});
+    max_live = std::max<std::uint64_t>(max_live, pending.size());
+  };
+  const auto forget = [&](std::size_t i) {
+    const Pending gone = pending[i];
+    order.erase({gone.at, gone.seq, gone.id});
+    index_of.erase(gone.id);
+    if (i + 1 != pending.size()) {
+      pending[i] = pending.back();
+      index_of[pending[i].id] = i;
+    }
+    pending.pop_back();
+    dead.push_back(gone.id);
+  };
+  const auto pop_and_check = [&] {
+    const auto f = q.pop();
+    const auto& [at, seq, id] = *order.begin();
+    ASSERT_EQ(f.id, id) << "at " << at << " seq " << seq;
+    ASSERT_EQ(f.at, at);
+    now = f.at;
+    ++fired;
+    forget(index_of.at(f.id));
+  };
+
+  while (pending.size() < kDepth) schedule();
+  std::uint64_t stale_cancels = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const auto action = rng.uniform_int(0, 99);
+    if (action < 33 || pending.empty()) {
+      schedule();
+    } else if (action < 63) {
+      const auto victim = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(pending.size()) - 1));
+      q.cancel(pending[victim].id);
+      ++cancelled;
+      forget(victim);
+    } else if (action < 96) {
+      ASSERT_NO_FATAL_FAILURE(pop_and_check());
+    } else if (!dead.empty()) {
+      // A fired or cancelled id whose slot has likely been reused.
+      q.cancel(dead[static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(dead.size()) - 1))]);
+      ++stale_cancels;
+    }
+    ASSERT_EQ(q.size(), pending.size());
+    if (!q.empty()) {
+      ASSERT_EQ(q.next_time(), std::get<0>(*order.begin()));
+    }
+  }
+  EXPECT_GT(stale_cancels, 0u);
+  EXPECT_GE(max_live, kDepth);
+
+  const KernelStats& stats = q.stats();
+  EXPECT_EQ(stats.events_scheduled, next_seq);
+  EXPECT_EQ(stats.events_cancelled, cancelled);  // stale cancels count 0
+  EXPECT_EQ(stats.events_fired, fired);
+  EXPECT_EQ(stats.peak_heap_size, max_live);
+
+  // Drain: the survivors still pop in exact reference order.
+  while (!q.empty()) ASSERT_NO_FATAL_FAILURE(pop_and_check());
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(stats.events_scheduled, stats.events_fired + stats.events_cancelled);
 }
 
 TEST(EventQueue, LeaseChurnCallbacksDoNotAllocate) {

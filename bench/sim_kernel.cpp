@@ -4,12 +4,18 @@
 //     (event queue, RNG, message delivery, whole-run cost per model) -
 //     the numbers behind the harness's capacity planning (a full paper
 //     sweep is 5 systems x 19 rates x 30 runs = 2850 simulations).
-//  2. A head-to-head lease-churn workload run through the seed event
-//     queue (binary priority_queue + tombstone cancel + std::function)
-//     and the current kernel (a callback slab ordered by a 4-ary heap
-//     of keyed entries, with bottom-up erase), timed with steady_clock
-//     and written to BENCH_sim_kernel.json alongside the kernel's own
-//     counters. CI uploads the JSON as an artifact.
+//  2. Head-to-heads of the seed event queue (binary priority_queue +
+//     tombstone cancel + std::function) and the current kernel (a
+//     callback slab ordered by two tiers: a 128-bucket calendar ring for
+//     events due within 128 us of the last pop, and a 4-ary heap of
+//     keyed entries with bottom-up erase for everything later), timed
+//     with steady_clock and written to BENCH_sim_kernel.json alongside
+//     the kernel's own counters. Two workloads: lease churn (timers
+//     cancelled and re-armed, all in the heap) and delivery_mix
+//     (deliveries due 10-100 us ahead over about 20 k pending far
+//     timers, the event mix of a paper run, all in the ring). A third
+//     series, sim_loop, times Simulator::run_until itself. CI uploads
+//     the JSON as an artifact.
 //
 // Environment knobs:
 //   SDCM_BENCH_SMOKE  - nonzero: tiny workload, skip microbenches (CI)
@@ -24,6 +30,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -275,6 +282,72 @@ LoopResult run_sim_loop(bool smoke) {
   return result;
 }
 
+// --- delivery mix ---------------------------------------------------
+
+// The event mix of a paper run: network deliveries due U(10, 100) us
+// ahead (Table 3), dispatched over a backlog of far-future protocol
+// timers. 16 delivery chains each re-arm when they fire, over 20 k
+// timers due 3600-5400 s out that never come due in the measured
+// window. The queue's own loop (pop, advance the clock, fire) drives
+// them, as Simulator::run_until does; only that loop is timed.
+struct MixResult {
+  std::uint64_t events = 0;
+  std::uint64_t checksum = 0;  // order-sensitive: must match across queues
+  double best_seconds = 0.0;
+};
+
+constexpr int kMixTimers = 20000;
+constexpr int kMixChains = 16;
+
+template <typename Queue>
+MixResult run_delivery_mix(bool smoke) {
+  const std::uint64_t limit = smoke ? 50000 : 2000000;
+  const int reps = smoke ? 2 : 5;
+
+  struct Mix {
+    Queue queue;
+    sim::Random rng{11};
+    sim::SimTime now = 0;
+    std::uint64_t fired = 0;
+    std::uint64_t checksum = 0;
+
+    void arm(int chain) {
+      queue.schedule(now + rng.uniform_int(10, 100), [this, chain] {
+        ++fired;
+        checksum = checksum * 31 + static_cast<std::uint64_t>(chain);
+        arm(chain);
+      });
+    }
+  };
+
+  MixResult result;
+  for (int rep = 0; rep < reps; ++rep) {
+    Mix mix;
+    std::uint64_t timer_fires = 0;
+    for (int i = 0; i < kMixTimers; ++i) {
+      mix.queue.schedule(
+          sim::seconds(3600) + mix.rng.uniform_int(0, sim::seconds(1800)),
+          [&timer_fires] { ++timer_fires; });
+    }
+    for (int c = 0; c < kMixChains; ++c) mix.arm(c);
+    const auto start = std::chrono::steady_clock::now();
+    while (mix.fired < limit) {
+      auto fired = mix.queue.pop();
+      mix.now = fired.at;
+      fired.cb();
+    }
+    const auto stop = std::chrono::steady_clock::now();
+    const double seconds =
+        std::chrono::duration<double>(stop - start).count();
+    result.events = mix.fired + timer_fires;
+    result.checksum = mix.checksum;
+    if (rep == 0 || seconds < result.best_seconds) {
+      result.best_seconds = seconds;
+    }
+  }
+  return result;
+}
+
 void emit_queue(bench::JsonWriter& json, const char* key,
                 const ChurnResult& r) {
   const double ns_per_op =
@@ -362,6 +435,33 @@ int run_lease_churn_comparison(bool smoke) {
                 "sim_loop", ns_per_event, events_per_sec,
                 SDCM_PROFILE_ENABLED != 0 ? "compiled in" : "off");
   }
+  const MixResult mix_seed = run_delivery_mix<bench::SeedEventQueue>(smoke);
+  const MixResult mix = run_delivery_mix<sim::EventQueue>(smoke);
+  const bool mix_consistent =
+      mix_seed.events == mix.events && mix_seed.checksum == mix.checksum;
+  bench::check(mix_consistent,
+               "both queues fire the delivery mix in the same order");
+  {
+    json.begin("delivery_mix")
+        .field("events", mix.events)
+        .field("pending_timers", static_cast<std::uint64_t>(kMixTimers))
+        .field("chains", static_cast<std::uint64_t>(kMixChains));
+    for (const auto& [key, r] : {std::pair{"seed_queue", &mix_seed},
+                                 std::pair{"indexed_queue", &mix}}) {
+      const double ns_per_event =
+          r->best_seconds * 1e9 / static_cast<double>(r->events);
+      const double events_per_sec =
+          static_cast<double>(r->events) / r->best_seconds;
+      json.begin(key)
+          .field("best_seconds", r->best_seconds)
+          .field("ns_per_event", ns_per_event)
+          .field("events_per_sec", events_per_sec)
+          .end();
+      std::printf("  delivery_mix %-14s %7.1f ns/op  %12.0f events/sec\n",
+                  key, ns_per_event, events_per_sec);
+    }
+    json.field("speedup", mix_seed.best_seconds / mix.best_seconds).end();
+  }
   json.begin("kernel_counters")
       .field("events_scheduled", totals.events_scheduled)
       .field("events_cancelled", totals.events_cancelled)
@@ -370,14 +470,14 @@ int run_lease_churn_comparison(bool smoke) {
       .field("callback_heap_allocs", totals.callback_heap_allocs)
       .end();
   json.field("speedup", speedup)
-      .field("consistent", consistent)
+      .field("consistent", consistent && mix_consistent)
       .end();
   if (!json.write_file(path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());
     return 1;
   }
   std::printf("wrote %s\n", path.c_str());
-  return consistent ? 0 : 1;
+  return consistent && mix_consistent ? 0 : 1;
 }
 
 }  // namespace

@@ -292,6 +292,23 @@ class Network {
   void deliver_multicast_copy(const std::shared_ptr<const Message>& wire,
                               NodeId dst, bool lost);
 
+  /// One unicast or TCP segment in flight: everything its arrival needs.
+  /// transmit() parks it in a network-owned slab (`in_flight_`), so the
+  /// arrival closure captures only {this, index} and fits
+  /// InlineCallback's buffer instead of boxing a Message and a
+  /// std::function per send.
+  struct InFlight {
+    Message msg;
+    std::function<void(bool delivered)> on_result;
+    bool deliver = false;
+    bool lost = false;
+  };
+
+  /// Fire-time body of one unicast or TCP arrival: moves slab entry
+  /// `index` out and frees it, then probes, applies rx/loss accounting,
+  /// dispatches and reports the result.
+  void arrive(std::uint32_t index);
+
   /// Token-bucket admission for one wire copy leaving `src` now: the
   /// shaping delay to add to the copy's transit delay (0 when a token
   /// was free), or std::nullopt when the bounded queue is full and the
@@ -312,6 +329,10 @@ class Network {
   /// attached id. Slot 0 (the reserved id) stays empty.
   std::vector<Port> table_;
   std::vector<NodeId> order_;
+  /// Segments between transmit() and arrival, recycled through
+  /// in_flight_free_ (LIFO); sized by the peak number in flight.
+  std::vector<InFlight> in_flight_;
+  std::vector<std::uint32_t> in_flight_free_;
   /// Wrappers allocated by the Handler-based attach overload.
   std::vector<std::unique_ptr<MessageSink>> owned_sinks_;
   MessageCounters counters_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -48,13 +49,7 @@ class InlineCallback {
                                         std::is_invocable_r_v<void, D&>>>
   // NOLINTNEXTLINE(google-explicit-constructor): converts like std::function
   InlineCallback(F&& fn) {
-    if constexpr (fits_inline<D>()) {
-      ::new (storage()) D(std::forward<F>(fn));
-      vtable_ = inline_vtable<D>();
-    } else {
-      ::new (storage()) D*(new D(std::forward<F>(fn)));
-      vtable_ = heap_vtable<D>();
-    }
+    emplace<D>(std::forward<F>(fn));
   }
 
   InlineCallback(InlineCallback&& other) noexcept { move_from(other); }
@@ -90,6 +85,25 @@ class InlineCallback {
     }
   }
 
+  /// Replaces the wrapped callable with `fn`, built directly in this
+  /// wrapper's storage: no temporary InlineCallback is constructed and
+  /// relocated on the way in. Same inline-or-boxed rule as the
+  /// converting constructor; an InlineCallback rvalue is moved in.
+  template <typename F>
+  void assign(F&& fn) {
+    using D = std::decay_t<F>;
+    if constexpr (std::is_same_v<D, InlineCallback>) {
+      static_assert(!std::is_lvalue_reference_v<F>,
+                    "move an InlineCallback in; it is move-only");
+      *this = std::move(fn);
+    } else {
+      static_assert(std::is_invocable_r_v<void, D&>,
+                    "an event callback must be callable as void()");
+      reset();
+      emplace<D>(std::forward<F>(fn));
+    }
+  }
+
  private:
   struct VTable {
     void (*invoke)(void* storage);
@@ -103,6 +117,18 @@ class InlineCallback {
     return sizeof(D) <= kInlineSize &&
            alignof(D) <= alignof(std::max_align_t) &&
            std::is_nothrow_move_constructible_v<D>;
+  }
+
+  /// Constructs `fn` as a D into the (empty) storage.
+  template <typename D, typename F>
+  void emplace(F&& fn) {
+    if constexpr (fits_inline<D>()) {
+      ::new (storage()) D(std::forward<F>(fn));
+      vtable_ = inline_vtable<D>();
+    } else {
+      ::new (storage()) D*(new D(std::forward<F>(fn)));
+      vtable_ = heap_vtable<D>();
+    }
   }
 
   template <typename D>
@@ -154,44 +180,72 @@ class InlineCallback {
 };
 
 /// Min-queue of timestamped callbacks with stable FIFO ordering among
-/// events scheduled for the same instant (a monotonic sequence number
-/// breaks ties, which keeps runs deterministic regardless of heap
-/// internals - the exact total order of the seed implementation).
+/// events scheduled for the same instant: events pop in (at, schedule
+/// order), the exact total order of the seed implementation, which keeps
+/// runs deterministic regardless of queue internals.
 ///
 /// Layout: callbacks live in a contiguous slab (`slots_`) recycled
-/// through a free list, and a 4-ary min-heap (`heap_`) orders them. Each
-/// heap entry carries its own sort key {at, seq} next to its slot index,
-/// so a sift compares keys inside the contiguous heap array and never
-/// loads a slot. A dense side array (`heap_pos_`) records each slot's
-/// heap position, so cancel() is a true O(log n) heap erase instead of
-/// the seed's tombstone set - the protocol models cancel timers
-/// constantly (every renewed lease cancels its expiry timer), and with
-/// lazy cancellation the dead entries kept inflating the heap between
-/// pops. pop() and cancel() erase bottom-up: the hole walks down along
-/// the smallest child to a leaf, and the old last entry sifts up from
-/// there, which saves the compare against the moving entry at every
-/// level of the way down. 4-ary beats binary here: the hot loop is
-/// pop-dominated, and a branching factor of 4 halves the levels (and so
-/// the cache misses) of a walk, at two extra compares per level among
-/// four adjacent entries.
+/// through a free list and are ordered by one of two tiers.
+///
+///  - The calendar ring holds every event due in [floor, floor + 128 us),
+///    where `floor` is the time of the last pop. Bucket `at & 127` is a
+///    FIFO of slots threaded through Slot::ring_next, found through a
+///    128-bit occupancy mask. Because the ring spans exactly 128 us, one
+///    bucket holds one instant. The paper's LAN delivers every message
+///    10-100 us after it is sent (Table 3), so network deliveries land
+///    here and never touch the heap. 128 is the first power of two
+///    above that 100 us maximum, so the bucket is a mask of `at`; the
+///    headroom keeps a delivery in the ring when the clock stands a
+///    little past the last pop (run_until parks it at its horizon).
+///  - A 4-ary min-heap (`heap_`) of keyed entries {at, seq, slot} holds
+///    everything later (and, on a bare queue, anything below the
+///    floor). A sift compares keys inside the contiguous heap array and
+///    never loads a slot; a dense side array (`heap_pos_`) records each
+///    slot's heap position, so cancel() is an O(log n) erase. pop() and
+///    cancel() erase bottom-up: the hole walks down the smallest child
+///    to a leaf, and the old last entry sifts up from there.
+///
+/// pop() takes the earlier of the ring head and the heap top, and the
+/// heap wins a same-instant tie. That is the (at, seq) order: the floor
+/// never falls, so a heap entry due at T was scheduled under a floor
+/// <= T - 128, before any ring entry due at T (scheduled under a floor
+/// > T - 128). Ring entries therefore need no seq. A cancelled ring
+/// entry is tombstoned: its generation is bumped and its callback
+/// destroyed at once, and its slot rejoins the free list when it
+/// reaches its bucket's head, so the FIFO needs no back link. Every
+/// bucket's head is live, so next_time() stays exact.
 class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  /// Schedules `cb` at absolute time `at`. Returns an id for cancel().
-  EventId schedule(SimTime at, Callback cb);
+  /// Schedules `fn` (any `void()` callable, or a Callback) at absolute
+  /// time `at`, constructing it in place in its slot. Returns an id for
+  /// cancel().
+  template <typename F>
+  EventId schedule(SimTime at, F&& fn) {
+    const SlotIndex index = acquire_slot();
+    InlineCallback& cb = slots_[index].cb;
+    cb.assign(std::forward<F>(fn));
+    if (cb.heap_allocated()) ++stats_->callback_heap_allocs;
+    return enqueue(at, index);
+  }
 
-  /// Cancels a pending event in O(log n). Cancelling an already-fired,
-  /// unknown, or stale id is a no-op (protocol code often races a timer
-  /// with the message that makes it moot).
+  /// Cancels a pending event: an O(log n) heap erase, or an O(1)
+  /// tombstone in the ring. Cancelling an already-fired, unknown, or
+  /// stale id is a no-op (protocol code often races a timer with the
+  /// message that makes it moot).
   void cancel(EventId id);
 
-  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] bool empty() const noexcept {
+    return heap_.empty() && ring_live_ == 0;
+  }
 
   /// Time of the earliest live event; requires !empty().
   [[nodiscard]] SimTime next_time() const noexcept {
-    assert(!heap_.empty());
-    return heap_[0].at;
+    assert(!empty());
+    if (ring_live_ == 0) return heap_[0].at;
+    const SimTime ring_at = bucket_time(first_bucket());
+    return heap_.empty() ? ring_at : std::min(ring_at, heap_[0].at);
   }
 
   /// Pops and returns the earliest live event. Requires !empty().
@@ -202,8 +256,10 @@ class EventQueue {
   };
   Fired pop();
 
-  /// Number of live events still queued.
-  [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
+  /// Number of live events still queued, in both tiers.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return heap_.size() + ring_live_;
+  }
 
   /// Points the queue's counters at a shared stats block (the
   /// Simulator's); unbound queues count into a private block.
@@ -212,12 +268,19 @@ class EventQueue {
 
  private:
   using SlotIndex = std::uint32_t;
-  static constexpr SlotIndex kNoPos = ~SlotIndex{0};
   static constexpr std::size_t kArity = 4;
+  /// Width of the calendar ring in microseconds, one bucket each.
+  static constexpr std::uint32_t kRingSpan = 128;
+  /// heap_pos_ values at or above kRingTag are not heap positions:
+  /// kRingTag + b marks a live entry of ring bucket b, and kNoPos a slot
+  /// that is free or a tombstone waiting in its bucket.
+  static constexpr SlotIndex kNoPos = ~SlotIndex{0};
+  static constexpr SlotIndex kRingTag = kNoPos - kRingSpan;
 
   struct Slot {
     InlineCallback cb;
-    std::uint32_t generation = 1;  // bumped on release; stale-id guard
+    std::uint32_t generation = 1;  // bumped on fire/cancel; stale-id guard
+    SlotIndex ring_next = kNoPos;  // next slot of its ring bucket's FIFO
   };
 
   /// One heap element: the event's sort key and the slot holding it.
@@ -235,16 +298,39 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  /// The occupied bucket holding the ring's earliest instant: the first
+  /// set mask bit at or after floor's bucket, wrapping. Requires a live
+  /// ring entry.
+  [[nodiscard]] std::uint32_t first_bucket() const noexcept;
+  /// The instant bucket `b` holds: the one time in [floor, floor + 128)
+  /// that maps to it.
+  [[nodiscard]] SimTime bucket_time(std::uint32_t b) const noexcept {
+    return floor_ + static_cast<SimTime>((b - static_cast<std::uint32_t>(
+                                                  floor_)) &
+                                         (kRingSpan - 1));
+  }
+
   SlotIndex acquire_slot();
-  void release_slot(SlotIndex index);
+  EventId enqueue(SimTime at, SlotIndex index);
+  /// Ends a slot's event (fired or cancelled): destroys the callback
+  /// and bumps the generation, so the event's id goes stale.
+  void retire(SlotIndex index) noexcept;
+  /// Frees the tombstones at the head of bucket `b`, clearing its mask
+  /// bit when nothing live is left.
+  void drop_dead_head(std::uint32_t b);
   void sift_up(std::size_t hole, Entry moving) noexcept;
   void heap_erase(std::size_t pos) noexcept;
 
   std::vector<Slot> slots_;           // the slab; index = low half of EventId
-  std::vector<SlotIndex> heap_pos_;   // per slot; kNoPos = free / not queued
+  std::vector<SlotIndex> heap_pos_;   // per slot: heap position or a tag
   std::vector<Entry> heap_;           // 4-ary min-heap ordered by (at, seq)
   std::vector<SlotIndex> free_;       // recycled slot indices, LIFO
   std::uint64_t next_seq_ = 1;
+  SimTime floor_ = 0;                 // time of the last pop; never falls
+  std::size_t ring_live_ = 0;         // live (non-tombstone) ring entries
+  std::uint64_t ring_mask_[2] = {};   // bit b: bucket b is non-empty
+  SlotIndex ring_head_[kRingSpan] = {};  // read only where the mask bit
+  SlotIndex ring_tail_[kRingSpan] = {};  // of the bucket is set
   KernelStats local_stats_;
   KernelStats* stats_ = &local_stats_;
 };

@@ -21,11 +21,11 @@ struct KernelStats {
   std::uint64_t events_fired = 0;
   /// High-water mark of pending events (live heap size).
   std::uint64_t peak_heap_size = 0;
-  /// Callbacks too large for InlineCallback's inline buffer. Timers and
-  /// multicast deliveries fit, so lease-renewal churn adds nothing, but
-  /// every unicast Network::transmit that reaches the wire allocates
-  /// one: its delivery closure holds a Message and a std::function by
-  /// value, more than the 64-byte buffer. A paper run makes about 333.
+  /// Callbacks too large for InlineCallback's inline buffer. Every
+  /// callback the library schedules fits: timers capture a few ids,
+  /// multicast deliveries {network, wire, dst, lost}, and unicast/TCP
+  /// arrivals {network, in-flight slot}, so runs of all six models
+  /// count 0 and any other value flags a new oversized closure.
   std::uint64_t callback_heap_allocs = 0;
 
   // Network, per transport. "Sent" counts copies that reached the wire

@@ -29,34 +29,39 @@ class Simulator {
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
 
-  /// Schedules `cb` after `delay` (>= 0) from now. Returns a cancellable id.
-  EventId schedule_in(SimDuration delay, EventQueue::Callback cb) {
+  /// Schedules `fn` after `delay` (>= 0) from now. Returns a cancellable
+  /// id. Like every scheduling call here, it forwards `fn` (any `void()`
+  /// callable, or an EventQueue::Callback) to be built in its queue slot.
+  template <typename F>
+  EventId schedule_in(SimDuration delay, F&& fn) {
     assert(delay >= 0);
-    return queue_.schedule(now_ + delay, std::move(cb));
+    return queue_.schedule(now_ + delay, std::forward<F>(fn));
   }
 
-  /// Schedules `cb` at an absolute time (>= now).
-  EventId schedule_at(SimTime at, EventQueue::Callback cb) {
+  /// Schedules `fn` at an absolute time (>= now).
+  template <typename F>
+  EventId schedule_at(SimTime at, F&& fn) {
     assert(at >= now_);
-    return queue_.schedule(at, std::move(cb));
+    return queue_.schedule(at, std::forward<F>(fn));
   }
 
   void cancel(EventId id) { queue_.cancel(id); }
 
   /// The cancel-then-rearm idiom of every lease/renewal site: cancels
-  /// `id` when pending, schedules `cb` after `delay`, and stores the new
+  /// `id` when pending, schedules `fn` after `delay`, and stores the new
   /// id back into `id` (also returned for convenience).
-  EventId reschedule_in(EventId& id, SimDuration delay,
-                        EventQueue::Callback cb) {
+  template <typename F>
+  EventId reschedule_in(EventId& id, SimDuration delay, F&& fn) {
     if (id != kInvalidEventId) queue_.cancel(id);
-    id = schedule_in(delay, std::move(cb));
+    id = schedule_in(delay, std::forward<F>(fn));
     return id;
   }
 
   /// Absolute-time variant of reschedule_in.
-  EventId reschedule_at(EventId& id, SimTime at, EventQueue::Callback cb) {
+  template <typename F>
+  EventId reschedule_at(EventId& id, SimTime at, F&& fn) {
     if (id != kInvalidEventId) queue_.cancel(id);
-    id = schedule_at(at, std::move(cb));
+    id = schedule_at(at, std::forward<F>(fn));
     return id;
   }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
 #include <memory>
+#include <vector>
 
 #include "sdcm/obs/profile_site.hpp"
 
@@ -78,13 +78,17 @@ std::vector<FailureEpisode> plan_failures(std::span<const NodeId> nodes,
 
 void apply_failures(sim::Simulator& simulator, Network& network,
                     std::span<const FailureEpisode> plan) {
-  // Nesting depth of concurrent episodes per node per direction, shared
-  // by every transition of this plan and kept alive by the lambdas.
+  // Nesting depth of concurrent episodes per node per direction, indexed
+  // by NodeId and sized once from the plan; shared by every transition
+  // of this plan and kept alive by the lambdas.
   struct DownDepth {
     int tx = 0;
     int rx = 0;
   };
-  const auto depth = std::make_shared<std::map<NodeId, DownDepth>>();
+  NodeId max_node = 0;
+  for (const FailureEpisode& ep : plan) max_node = std::max(max_node, ep.node);
+  const auto depth = std::make_shared<std::vector<DownDepth>>(
+      static_cast<std::size_t>(max_node) + 1);
   for (const FailureEpisode& ep : plan) {
     if (ep.mode == FailureMode::kNone || ep.duration <= 0) continue;
     const bool tx = ep.mode == FailureMode::kTransmitter ||
@@ -95,7 +99,7 @@ void apply_failures(sim::Simulator& simulator, Network& network,
         ep.start, [&simulator, &network, ep, tx, rx, depth]() {
           SDCM_PROFILE_SITE(simulator, "timer.net.interface_down");
           auto& iface = network.interface(ep.node);
-          auto& nesting = (*depth)[ep.node];
+          DownDepth& nesting = (*depth)[ep.node];
           if (tx) {
             ++nesting.tx;
             iface.set_tx(false);
@@ -113,7 +117,7 @@ void apply_failures(sim::Simulator& simulator, Network& network,
         ep.end(), [&simulator, &network, ep, tx, rx, depth]() {
           SDCM_PROFILE_SITE(simulator, "timer.net.interface_up");
           auto& iface = network.interface(ep.node);
-          auto& nesting = (*depth)[ep.node];
+          DownDepth& nesting = (*depth)[ep.node];
           if (tx && --nesting.tx <= 0) iface.set_tx(true);
           if (rx && --nesting.rx <= 0) iface.set_rx(true);
           simulator.trace().record(

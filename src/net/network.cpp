@@ -525,28 +525,47 @@ bool Network::transmit(Message msg, bool deliver,
   counters_.count(msg);
   ++(tcp ? kstats.tcp_sent : kstats.udp_sent);
   const bool lost = lost_in_transit();
-  sim_.schedule_in(shaping + delay, [this, m = std::move(msg), deliver, lost,
-                                     tcp,
-                           cb = std::move(on_result)]() {
-    SDCM_PROFILE_ONLY(sim_.profile_attribute(m.type.id()));
-    Port& dport = port(m.dst);
-    if (probe_ != nullptr) {
-      probe_->on_arrival(m, dport.iface.rx_up(), lost, sim_.now());
-    }
-    const bool ok = dport.iface.rx_up() && !lost;
-    sim::SpanScope scope(sim_.trace(), m.span);
-    if (!ok) {
-      sim::KernelStats& ks = sim_.kernel_stats();
-      ++(tcp ? ks.tcp_dropped : ks.udp_deliveries_dropped_rx);
-      sim_.trace().record_child(m.span, sim_.now(), m.dst,
-                                sim::TraceCategory::kTransport, tag::kDropRx,
-                                type_detail(m));
-    } else if (deliver) {
-      dport.sink->handle_message(m);
-    }
-    if (cb) cb(ok);
-  });
+  std::uint32_t index;
+  if (in_flight_free_.empty()) {
+    index = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.emplace_back();
+  } else {
+    index = in_flight_free_.back();
+    in_flight_free_.pop_back();
+  }
+  InFlight& parked = in_flight_[index];
+  parked.msg = std::move(msg);
+  parked.on_result = std::move(on_result);
+  parked.deliver = deliver;
+  parked.lost = lost;
+  sim_.schedule_in(shaping + delay, [this, index]() { arrive(index); });
   return true;
+}
+
+void Network::arrive(std::uint32_t index) {
+  // Move the segment out before dispatching: the handler may send, and
+  // a send can grow the slab under any reference into it.
+  const InFlight segment = std::move(in_flight_[index]);
+  in_flight_free_.push_back(index);
+  const Message& m = segment.msg;
+  SDCM_PROFILE_ONLY(sim_.profile_attribute(m.type.id()));
+  Port& dport = port(m.dst);
+  if (probe_ != nullptr) {
+    probe_->on_arrival(m, dport.iface.rx_up(), segment.lost, sim_.now());
+  }
+  const bool ok = dport.iface.rx_up() && !segment.lost;
+  sim::SpanScope scope(sim_.trace(), m.span);
+  if (!ok) {
+    sim::KernelStats& ks = sim_.kernel_stats();
+    ++(m.klass == MessageClass::kTransport ? ks.tcp_dropped
+                                           : ks.udp_deliveries_dropped_rx);
+    sim_.trace().record_child(m.span, sim_.now(), m.dst,
+                              sim::TraceCategory::kTransport, tag::kDropRx,
+                              type_detail(m));
+  } else if (segment.deliver) {
+    dport.sink->handle_message(m);
+  }
+  if (segment.on_result) segment.on_result(ok);
 }
 
 void Network::deliver_local(const Message& msg) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <vector>
 
 namespace sdcm::net {
@@ -267,6 +269,64 @@ TEST_F(NetworkFixture, MessageLossIsDeterministicPerSeed) {
     return received;
   };
   EXPECT_EQ(run(), run());
+}
+
+// Every unicast arrival closure must fit InlineCallback's buffer: the
+// segment waits in the network's in-flight slab, and the event captures
+// only {network, slab index}. The lossy path parks the same way.
+TEST_F(NetworkFixture, UnicastBoxesNoEventCallback) {
+  network.set_message_loss_rate(0.25);
+  for (int k = 0; k < 40; ++k) {
+    network.send(msg(1, k % 2 == 0 ? 2 : 3, "alloc.pin"));
+  }
+  simulator.run_until(seconds(1));
+  EXPECT_EQ(simulator.kernel_stats().udp_sent, 40u);
+  EXPECT_GT(inbox2.size() + inbox3.size(), 0u);
+  EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
+}
+
+TEST(NetworkInFlight, HandlerThatSendsDuringDeliveryKeepsItsMessage) {
+  // Node 2 answers each request with a burst of sends from inside its
+  // handler, so the in-flight slab grows (and reallocates) while the
+  // request being dispatched has just left it. The request must still
+  // be intact after the burst, payload included.
+  struct Request {
+    std::string text;  // not trivially copyable: a shared payload
+  };
+  sim::Simulator simulator{5};
+  Network network{simulator};
+  int replies = 0;
+  std::vector<std::string> checked;
+  network.attach(1, [&](const Message&) { ++replies; });
+  network.attach(2, [&](const Message& m) {
+    for (int i = 0; i < 64; ++i) {
+      Message reply;
+      reply.src = 2;
+      reply.dst = 1;
+      reply.type = MessageType::intern("inflight.reply");
+      network.send(reply);
+    }
+    EXPECT_EQ(m.src, 1u);
+    EXPECT_EQ(m.dst, 2u);
+    EXPECT_EQ(m.type_name(), "inflight.request");
+    EXPECT_EQ(m.bytes, 77u);
+    checked.push_back(m.as<Request>().text);
+  });
+  for (int k = 0; k < 3; ++k) {
+    Message request;
+    request.src = 1;
+    request.dst = 2;
+    request.type = MessageType::intern("inflight.request");
+    request.payload = Request{"request #" + std::to_string(k)};
+    request.bytes = 77;
+    network.send(request);
+  }
+  simulator.run_until(seconds(1));
+  std::sort(checked.begin(), checked.end());
+  EXPECT_EQ(checked, (std::vector<std::string>{"request #0", "request #1",
+                                               "request #2"}));
+  EXPECT_EQ(replies, 3 * 64);
+  EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
 }
 
 }  // namespace

@@ -239,6 +239,30 @@ TEST_F(TcpFixture, PeerOfReturnsOtherEndpoint) {
   EXPECT_EQ(conn->responder(), 2u);
 }
 
+// A TCP exchange - handshake, request, reply on the same connection,
+// and the transport acks - must box no event callback: every segment
+// waits in the network's in-flight slab, not in its arrival closure.
+TEST_F(TcpFixture, ExchangeBoxesNoEventCallback) {
+  bool request_acked = false;
+  TcpConnection::open_and_send(network, app_msg(1, 2, "request"),
+                               [&] { request_acked = true; }, [] {});
+  simulator.run_until(seconds(1));
+  ASSERT_EQ(inbox2.size(), 1u);
+  ASSERT_TRUE(inbox2[0].conn != nullptr);
+  bool reply_acked = false;
+  inbox2[0].conn->send(app_msg(2, 1, "reply"), [&] { reply_acked = true; });
+  simulator.run_until(seconds(2));
+  ASSERT_EQ(inbox1.size(), 1u);
+  EXPECT_EQ(inbox1[0].type, "reply");
+  EXPECT_TRUE(request_acked);
+  EXPECT_TRUE(reply_acked);
+  // SYN, SYN-ACK and two acks; the request and the reply are counted
+  // by their own class, as UDP-side wire copies.
+  EXPECT_EQ(simulator.kernel_stats().tcp_sent, 4u);
+  EXPECT_EQ(simulator.kernel_stats().messages_sent(), 6u);
+  EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
+}
+
 TEST(TcpLifetime, ConnectionSurvivesViaPendingEventsOnly) {
   // The caller drops every reference; the connection must stay alive
   // through its own scheduled events and still complete the exchange.

@@ -1,19 +1,28 @@
 #!/usr/bin/env python3
-"""Compare two bench JSON snapshots and fail on a regression.
+"""Compare two sets of bench JSON snapshots and fail on a regression.
 
 Usage:
-    bench_compare.py BASELINE.json CURRENT.json \
+    bench_compare.py BASELINE.json[,BASELINE2.json...] \
+        CURRENT.json[,CURRENT2.json...] \
         [--key indexed_queue.events_per_sec]... \
         [--key-if-present sim_loop.events_per_sec]... [--max-regression 0.02]
 
-Both files are bench snapshots with the same shape (BENCH_sim_kernel.json,
-BENCH_workloads.json, ...). --key may repeat: every named metric is
+Every file is a bench snapshot with the same shape (BENCH_sim_kernel.json,
+BENCH_workloads.json, ...). Each side may list several snapshots of
+repeated runs, comma-separated; a side's value for a key is then its best
+(highest) across them. A slowdown from the host - a noisy neighbour, a
+frequency dip - hits some runs and spares others, while a slowdown from
+the code hits every run, the fastest included; so best-of-N compares the
+code, where one run per side compares the host. Alternate the two sides'
+runs so that a slow stretch of the host touches both.
+--key may repeat: every named metric is
 compared and the gate fails if ANY of them regresses past the tolerance.
 With no --key the gate defaults to the indexed event queue's
 events-per-second, the repo's headline kernel throughput.
 --key-if-present behaves like --key but skips (with a notice) any metric
-absent from either snapshot - for gating metrics the baseline commit did
-not emit yet, without breaking the first CI run that introduces them. A regression is
+absent from a snapshot on either side - for gating metrics the baseline
+commit did not emit yet, without breaking the first CI run that
+introduces them. A regression is
 (baseline - current) / baseline; the script exits non-zero when it
 exceeds --max-regression. Improvements always pass.
 
@@ -36,6 +45,20 @@ def lookup(doc, dotted_key):
     return float(node)
 
 
+def best(docs, dotted_key):
+    """The highest value of `dotted_key` across snapshots; KeyError if
+    any snapshot lacks it."""
+    return max(lookup(doc, dotted_key) for doc in docs)
+
+
+def load_all(paths):
+    docs = []
+    for path in paths.split(","):
+        with open(path, encoding="utf-8") as f:
+            docs.append(json.load(f))
+    return docs
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("baseline")
@@ -51,15 +74,14 @@ def main():
     args = parser.parse_args()
     keys = args.key or ["indexed_queue.events_per_sec"]
 
-    with open(args.baseline, encoding="utf-8") as f:
-        baseline_doc = json.load(f)
-    with open(args.current, encoding="utf-8") as f:
-        current_doc = json.load(f)
+    baseline_docs = load_all(args.baseline)
+    current_docs = load_all(args.current)
+    runs = f"best of {len(baseline_docs)} vs {len(current_docs)} runs"
 
     for key in args.key_if_present or []:
         try:
-            lookup(baseline_doc, key)
-            lookup(current_doc, key)
+            best(baseline_docs, key)
+            best(current_docs, key)
         except KeyError as missing:
             print(f"bench_compare: skipping {key} "
                   f"(key {missing} absent from a snapshot)")
@@ -69,8 +91,8 @@ def main():
     failed = []
     for key in keys:
         try:
-            baseline = lookup(baseline_doc, key)
-            current = lookup(current_doc, key)
+            baseline = best(baseline_docs, key)
+            current = best(current_docs, key)
         except KeyError as missing:
             print(f"bench_compare: key {missing} not found", file=sys.stderr)
             return 2
@@ -81,7 +103,8 @@ def main():
 
         regression = (baseline - current) / baseline
         print(f"{key}: baseline {baseline:.4g}, current {current:.4g}, "
-              f"delta {-regression:+.2%} (tolerance -{args.max_regression:.0%})")
+              f"delta {-regression:+.2%} "
+              f"(tolerance -{args.max_regression:.0%}, {runs})")
         if regression > args.max_regression:
             failed.append((key, regression))
 

@@ -5,6 +5,7 @@
 #include <optional>
 #include <vector>
 
+#include "sdcm/discovery/node_map.hpp"
 #include "sdcm/discovery/service.hpp"
 
 namespace sdcm::discovery {
@@ -87,14 +88,17 @@ class ConsistencyObserver {
       on_notification_sent;
 
  private:
-  /// Whether `user` is tracked: O(1), however many users are.
-  [[nodiscard]] bool tracks(NodeId user) const noexcept;
+  struct Reach {
+    ServiceVersion version;
+    sim::SimTime at;
+  };
 
   std::vector<NodeId> users_;
-  /// Membership of users_, dense by NodeId (ids are small and dense).
-  std::vector<bool> tracked_;
+  /// Per tracked User, dense by NodeId (ids are small and dense): the
+  /// versions it reached, in first-report order. A User holds one or
+  /// two, so a lookup is an index and a short scan.
+  NodeMap<NodeId, std::vector<Reach>> reached_;
   std::map<ServiceVersion, sim::SimTime> changes_;
-  std::map<std::pair<NodeId, ServiceVersion>, sim::SimTime> reached_;
 };
 
 }  // namespace sdcm::discovery

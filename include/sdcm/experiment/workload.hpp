@@ -20,7 +20,9 @@
 // model - default runs keep bit-identical golden trace fingerprints.
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +30,10 @@
 #include "sdcm/net/failure_model.hpp"
 #include "sdcm/sim/random.hpp"
 #include "sdcm/sim/time.hpp"
+
+namespace sdcm::discovery {
+class Node;
+}
 
 namespace sdcm::experiment {
 
@@ -174,5 +180,14 @@ struct WorkloadPlan {
 WorkloadPlan plan_workload(const WorkloadSpec& spec,
                            const WorkloadTopology& topology,
                            sim::SimTime duration, sim::Random& rng);
+
+/// Schedules each of `events` (a plan's, in plan order) as a call of
+/// its node's depart(), rejoin() or announce_now(). The nodes are found
+/// by id in a table sized from `id_bound` (one past the largest id); an
+/// event whose node is not among `nodes` is skipped.
+void schedule_workload_events(
+    sim::Simulator& simulator,
+    std::span<const std::unique_ptr<discovery::Node>> nodes,
+    sim::NodeId id_bound, std::span<const WorkloadEvent> events);
 
 }  // namespace sdcm::experiment

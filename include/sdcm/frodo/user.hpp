@@ -67,6 +67,8 @@ class FrodoUser : public FrodoClient {
   void on_message(const net::Message& msg) override;
   void begin_search();
   void search_attempt();
+  /// search_payload_, built on first use.
+  const net::Payload& search_payload();
   void stop_search();
   void send_notification_request();
   void adopt(const discovery::ServiceDescription& sd,
@@ -80,6 +82,11 @@ class FrodoUser : public FrodoClient {
   void purge_manager(sim::Atom why);
 
   Matching requirement_;
+  /// The search requests for requirement_, which never changes: each
+  /// is built on its first send and shared by every later one, so
+  /// topology build allocates no request a User has not sent yet.
+  net::Payload search_payload_;
+  net::Payload multicast_search_payload_;
   discovery::ConsistencyObserver* observer_;
 
   std::optional<discovery::ServiceDescription> sd_;

@@ -185,7 +185,9 @@ class InlineCallback {
 /// runs deterministic regardless of queue internals.
 ///
 /// Layout: callbacks live in a contiguous slab (`slots_`) recycled
-/// through a free list and are ordered by one of two tiers.
+/// through a free list and are ordered by one of two tiers. The slab
+/// grows by doubling, which relocates every live callback through its
+/// vtable; reserve() grows it once ahead of a known batch.
 ///
 ///  - The calendar ring holds every event due in [floor, floor + 128 us),
 ///    where `floor` is the time of the last pop. Bucket `at & 127` is a
@@ -260,6 +262,14 @@ class EventQueue {
   [[nodiscard]] std::size_t size() const noexcept {
     return heap_.size() + ring_live_;
   }
+
+  /// Grows the slab for `more` further events in one step, so that
+  /// scheduling them relocates no live callback: the slot slab and
+  /// heap_pos_ to the bit_ceil of what they need net of free slots, the
+  /// heap to the bit_ceil of its size plus `more` (the capacities
+  /// doubling would have reached anyway). Ids, order and counters are
+  /// unaffected.
+  void reserve(std::size_t more);
 
   /// Points the queue's counters at a shared stats block (the
   /// Simulator's); unbound queues count into a private block.

@@ -47,6 +47,10 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
+  /// Grows the event queue once for `more` further events (see
+  /// EventQueue::reserve); for a caller about to schedule a known batch.
+  void reserve_events(std::size_t more) { queue_.reserve(more); }
+
   /// The cancel-then-rearm idiom of every lease/renewal site: cancels
   /// `id` when pending, schedules `fn` after `delay`, and stores the new
   /// id back into `id` (also returned for convenience).

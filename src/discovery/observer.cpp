@@ -5,14 +5,7 @@
 namespace sdcm::discovery {
 
 void ConsistencyObserver::track_user(NodeId user) {
-  if (tracks(user)) return;
-  if (user >= tracked_.size()) tracked_.resize(std::size_t{user} + 1, false);
-  tracked_[user] = true;
-  users_.push_back(user);
-}
-
-bool ConsistencyObserver::tracks(NodeId user) const noexcept {
-  return user < tracked_.size() && tracked_[user];
+  if (reached_.try_emplace(user).second) users_.push_back(user);
 }
 
 void ConsistencyObserver::service_changed(ServiceVersion version,
@@ -45,12 +38,14 @@ void ConsistencyObserver::notification_sent(NodeId holder, NodeId user,
 
 void ConsistencyObserver::user_reached(NodeId user, ServiceVersion version,
                                        sim::SimTime at) {
-  if (!tracks(user)) return;
-  // try_emplace looks the key up before it builds a node: most reports
-  // repeat a version the User already reached.
-  const bool inserted =
-      reached_.try_emplace(std::make_pair(user, version), at).second;
-  if (inserted && on_user_reached) on_user_reached(user, version, at);
+  std::vector<Reach>* reached = reached_.find(user);
+  if (reached == nullptr) return;
+  // Most reports repeat a version the User already reached.
+  for (const Reach& r : *reached) {
+    if (r.version == version) return;
+  }
+  reached->push_back({version, at});
+  if (on_user_reached) on_user_reached(user, version, at);
 }
 
 std::optional<sim::SimTime> ConsistencyObserver::change_time(
@@ -62,9 +57,12 @@ std::optional<sim::SimTime> ConsistencyObserver::change_time(
 
 std::optional<sim::SimTime> ConsistencyObserver::reach_time(
     NodeId user, ServiceVersion version) const {
-  const auto it = reached_.find(std::make_pair(user, version));
-  if (it == reached_.end()) return std::nullopt;
-  return it->second;
+  const std::vector<Reach>* reached = reached_.find(user);
+  if (reached == nullptr) return std::nullopt;
+  for (const Reach& r : *reached) {
+    if (r.version == version) return r.at;
+  }
+  return std::nullopt;
 }
 
 bool ConsistencyObserver::all_consistent_by(ServiceVersion version,

@@ -1,7 +1,6 @@
 #include "sdcm/experiment/scenario.hpp"
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -122,40 +121,17 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   if (config.oracle != nullptr) {
     config.oracle->arm(plan, observer.users(), workload_plan.departed);
   }
+  // Every episode schedules a down and an up edge: grow the queue once
+  // for the whole planned timeline, so no live callback relocates while
+  // it is scheduled.
+  simulator.reserve_events(2 * plan.size() + workload_plan.events.size());
   net::apply_failures(simulator, network, plan);
 
   // Schedule the lifecycle events after apply_failures: at an equal
   // timestamp the interface-down flip fires first, so a depart()'s state
   // reset never races its own episode's radio silence.
-  if (!workload_plan.events.empty()) {
-    std::map<sim::NodeId, discovery::Node*> nodes_by_id;
-    for (auto& node : topo.nodes) nodes_by_id[node->id()] = node.get();
-    for (const WorkloadEvent& event : workload_plan.events) {
-      const auto it = nodes_by_id.find(event.node);
-      if (it == nodes_by_id.end()) continue;
-      discovery::Node* node = it->second;
-      switch (event.action) {
-        case WorkloadAction::kDepart:
-          simulator.schedule_at(event.at, [&simulator, node] {
-            SDCM_PROFILE_SITE(simulator, "timer.workload.depart");
-            node->depart();
-          });
-          break;
-        case WorkloadAction::kRejoin:
-          simulator.schedule_at(event.at, [&simulator, node] {
-            SDCM_PROFILE_SITE(simulator, "timer.workload.rejoin");
-            node->rejoin();
-          });
-          break;
-        case WorkloadAction::kAnnounce:
-          simulator.schedule_at(event.at, [&simulator, node] {
-            SDCM_PROFILE_SITE(simulator, "timer.workload.announce");
-            node->announce_now();
-          });
-          break;
-      }
-    }
-  }
+  schedule_workload_events(simulator, topo.nodes, layout.id_bound(),
+                           workload_plan.events);
 
   // One change at a uniformly random time in [change_min, change_max].
   auto change_rng = simulator.rng().fork("experiment.change");

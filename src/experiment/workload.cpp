@@ -1,8 +1,15 @@
 #include "sdcm/experiment/workload.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <charconv>
+#include <iterator>
 #include <string>
 #include <tuple>
+
+#include "sdcm/discovery/node.hpp"
+#include "sdcm/discovery/node_map.hpp"
+#include "sdcm/obs/profile_site.hpp"
 
 namespace sdcm::experiment {
 namespace {
@@ -14,14 +21,26 @@ using sim::SimTime;
 /// edge, so the restarted node's first transmissions see a live link.
 constexpr SimDuration kRejoinLag = sim::milliseconds(1);
 
+/// Forks `rng` by the label `prefix` + the node id in decimal, the
+/// bytes of prefix + std::to_string(node), built in a stack buffer: a
+/// label past the SSO buffer would cost an allocation per node.
+sim::Random fork_for_node(const sim::Random& rng, std::string_view prefix,
+                          sim::NodeId node) {
+  char label[32];
+  assert(prefix.size() + 10 <= sizeof(label));  // 10: digits of a u32
+  const std::size_t n = prefix.copy(label, prefix.size());
+  const char* end = std::to_chars(label + n, std::end(label), node).ptr;
+  return rng.fork(
+      std::string_view(label, static_cast<std::size_t>(end - label)));
+}
+
 /// Churn draws for one node. Every draw comes from a child stream forked
 /// by a label that names the node, so the plan for node A is independent
 /// of whether node B exists - a requirement for shard invariance and for
 /// cheap topology tweaks that must not re-roll unrelated nodes.
 void plan_node_churn(const ChurnSpec& churn, sim::NodeId node,
                      SimTime duration, sim::Random& rng, WorkloadPlan& out) {
-  sim::Random node_rng =
-      rng.fork("workload.churn." + std::to_string(node));
+  sim::Random node_rng = fork_for_node(rng, "workload.churn.", node);
 
   if (node_rng.bernoulli(churn.permanent_leave_fraction)) {
     const SimTime leave =
@@ -62,8 +81,7 @@ void plan_node_churn(const ChurnSpec& churn, sim::NodeId node,
 void plan_storm(const StormSpec& storm, const WorkloadTopology& topology,
                 sim::Random& rng, WorkloadPlan& out) {
   for (sim::NodeId announcer : topology.announcers) {
-    sim::Random node_rng =
-        rng.fork("workload.storm." + std::to_string(announcer));
+    sim::Random node_rng = fork_for_node(rng, "workload.storm.", announcer);
     for (int b = 0; b < storm.bursts; ++b) {
       const SimTime base = storm.first_burst + b * storm.burst_spacing;
       for (int a = 0; a < storm.announcements_per_burst; ++a) {
@@ -192,16 +210,25 @@ WorkloadPlan plan_workload(const WorkloadSpec& spec,
     case WorkloadKind::kStatic:
       break;
 
-    case WorkloadKind::kChurn:
+    case WorkloadKind::kChurn: {
+      const bool churn_manager =
+          spec.churn.churn_manager && topology.manager != sim::kNoNode;
+      const std::size_t nodes =
+          (spec.churn.churn_users ? topology.users.size() : 0) +
+          (churn_manager ? 1 : 0);
+      const auto sessions = static_cast<std::size_t>(spec.churn.sessions);
+      plan.events.reserve(2 * sessions * nodes);
+      plan.episodes.reserve(sessions * nodes);
       if (spec.churn.churn_users) {
         for (sim::NodeId user : topology.users) {
           plan_node_churn(spec.churn, user, duration, rng, plan);
         }
       }
-      if (spec.churn.churn_manager && topology.manager != sim::kNoNode) {
+      if (churn_manager) {
         plan_node_churn(spec.churn, topology.manager, duration, rng, plan);
       }
       break;
+    }
 
     case WorkloadKind::kStorm:
     case WorkloadKind::kSaturation:
@@ -219,6 +246,43 @@ WorkloadPlan plan_workload(const WorkloadSpec& spec,
               return key(a) < key(b);
             });
   return plan;
+}
+
+void schedule_workload_events(
+    sim::Simulator& simulator,
+    std::span<const std::unique_ptr<discovery::Node>> nodes,
+    sim::NodeId id_bound, std::span<const WorkloadEvent> events) {
+  if (events.empty()) return;
+  discovery::NodeMap<sim::NodeId, discovery::Node*> by_id;
+  by_id.reserve(id_bound);
+  for (const auto& node : nodes) {
+    by_id.insert_or_assign(node->id(), node.get());
+  }
+  for (const WorkloadEvent& event : events) {
+    discovery::Node* const* found = by_id.find(event.node);
+    if (found == nullptr) continue;
+    discovery::Node* node = *found;
+    switch (event.action) {
+      case WorkloadAction::kDepart:
+        simulator.schedule_at(event.at, [&simulator, node] {
+          SDCM_PROFILE_SITE(simulator, "timer.workload.depart");
+          node->depart();
+        });
+        break;
+      case WorkloadAction::kRejoin:
+        simulator.schedule_at(event.at, [&simulator, node] {
+          SDCM_PROFILE_SITE(simulator, "timer.workload.rejoin");
+          node->rejoin();
+        });
+        break;
+      case WorkloadAction::kAnnounce:
+        simulator.schedule_at(event.at, [&simulator, node] {
+          SDCM_PROFILE_SITE(simulator, "timer.workload.announce");
+          node->announce_now();
+        });
+        break;
+    }
+  }
 }
 
 }  // namespace sdcm::experiment

@@ -47,7 +47,7 @@ void FrodoUser::start() {
                         m.dst = central();
                         m.type = msg::kServiceSearch;
                         m.klass = net::MessageClass::kDiscovery;
-                        m.payload = ServiceSearch{id(), requirement_};
+                        m.payload = search_payload();
                         network().send(m);
                       });
   }
@@ -109,6 +109,13 @@ void FrodoUser::begin_search() {
   search_attempt();
 }
 
+const net::Payload& FrodoUser::search_payload() {
+  if (!search_payload_.has_value()) {
+    search_payload_ = ServiceSearch{id(), requirement_};
+  }
+  return search_payload_;
+}
+
 void FrodoUser::search_attempt() {
   if (!searching_) return;
   if (has_central() && search_attempts_ < config().search_unicast_attempts) {
@@ -118,7 +125,7 @@ void FrodoUser::search_attempt() {
     m.dst = central();
     m.type = msg::kServiceSearch;
     m.klass = MessageClass::kDiscovery;
-    m.payload = ServiceSearch{id(), requirement_};
+    m.payload = search_payload();
     network().send(m);
     search_timer_ = simulator().schedule_in(
         config().search_response_timeout, [this] {
@@ -132,7 +139,10 @@ void FrodoUser::search_attempt() {
     m.src = id();
     m.type = msg::kMulticastSearch;
     m.klass = MessageClass::kDiscovery;
-    m.payload = MulticastSearch{id(), requirement_};
+    if (!multicast_search_payload_.has_value()) {
+      multicast_search_payload_ = MulticastSearch{id(), requirement_};
+    }
+    m.payload = multicast_search_payload_;
     network().multicast(m, 1);
     search_attempts_ = 0;
     search_timer_ = simulator().schedule_in(config().search_retry, [this] {

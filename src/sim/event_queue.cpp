@@ -18,6 +18,14 @@ EventQueue::SlotIndex EventQueue::acquire_slot() {
   return static_cast<SlotIndex>(slots_.size() - 1);
 }
 
+void EventQueue::reserve(std::size_t more) {
+  const std::size_t fresh = more > free_.size() ? more - free_.size() : 0;
+  const std::size_t slots = std::bit_ceil(slots_.size() + fresh);
+  slots_.reserve(slots);
+  heap_pos_.reserve(slots);
+  heap_.reserve(std::bit_ceil(heap_.size() + more));
+}
+
 void EventQueue::retire(SlotIndex index) noexcept {
   Slot& slot = slots_[index];
   slot.cb.reset();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace sdcm::discovery {
@@ -80,6 +81,35 @@ TEST(Observer, AllConsistentByDeadline) {
   // U < D is strict: a user reaching exactly at D does not count.
   EXPECT_FALSE(obs.all_consistent_by(2, seconds(600)));
   EXPECT_TRUE(obs.all_consistent_by(2, seconds(701)));
+}
+
+TEST(Observer, VersionsReportedOutOfOrderKeepTheirOwnTimes) {
+  ConsistencyObserver obs;
+  obs.track_user(10);
+  obs.track_user(12);
+  std::vector<std::pair<NodeId, ServiceVersion>> hooks;
+  obs.on_user_reached = [&hooks](NodeId user, ServiceVersion version,
+                                 sim::SimTime) {
+    hooks.emplace_back(user, version);
+  };
+  obs.user_reached(10, 3, seconds(300));
+  obs.user_reached(10, 2, seconds(400));  // older version, reported later
+  obs.user_reached(10, 3, seconds(500));  // repeat: ignored
+  obs.user_reached(11, 2, seconds(450));  // untracked, between tracked ids
+  obs.user_reached(12, 2, seconds(350));
+  EXPECT_EQ(obs.reach_time(10, 3), seconds(300));
+  EXPECT_EQ(obs.reach_time(10, 2), seconds(400));
+  EXPECT_EQ(obs.reach_time(12, 2), seconds(350));
+  EXPECT_FALSE(obs.reach_time(10, 4).has_value());
+  EXPECT_FALSE(obs.reach_time(12, 3).has_value());
+  // Unknown Users: inside the tracked id range, and past it.
+  EXPECT_FALSE(obs.reach_time(11, 2).has_value());
+  EXPECT_FALSE(obs.reach_time(5'000, 2).has_value());
+  EXPECT_EQ(hooks, (std::vector<std::pair<NodeId, ServiceVersion>>{
+                       {10, 3}, {10, 2}, {12, 2}}));
+  EXPECT_TRUE(obs.all_consistent_by(2, seconds(401)));
+  EXPECT_FALSE(obs.all_consistent_by(2, seconds(400)));
+  EXPECT_FALSE(obs.all_consistent_by(3, seconds(5400)));
 }
 
 TEST(Observer, TracksMultipleVersionsIndependently) {

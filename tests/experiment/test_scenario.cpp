@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "sdcm/discovery/node.hpp"
+
 namespace sdcm::experiment {
 namespace {
 
@@ -89,6 +94,51 @@ TEST(Scenario, MinimumMessageConstants) {
   // the user population.
   EXPECT_EQ(minimum_update_messages(SystemModel::kMdns, 5), 2u);
   EXPECT_EQ(minimum_update_messages(SystemModel::kMdns, 50), 2u);
+}
+
+/// A node that only counts its workload lifecycle calls.
+class LifecycleCounter : public discovery::Node {
+ public:
+  LifecycleCounter(sim::Simulator& simulator, net::Network& network,
+                   sim::NodeId id)
+      : Node(simulator, network, id, "lifecycle-counter") {}
+  void start() override {}
+  void depart() override { ++departs; }
+  void rejoin() override { ++rejoins; }
+  void announce_now() override { ++announces; }
+
+  int departs = 0;
+  int rejoins = 0;
+  int announces = 0;
+
+ protected:
+  void on_message(const net::Message&) override {}
+};
+
+TEST(Scenario, WorkloadEventWithoutATopologyNodeIsSkipped) {
+  sim::Simulator simulator(3);
+  net::Network network(simulator);
+  std::vector<std::unique_ptr<discovery::Node>> nodes;
+  nodes.push_back(std::make_unique<LifecycleCounter>(simulator, network, 11));
+  nodes.push_back(std::make_unique<LifecycleCounter>(simulator, network, 13));
+  // Node 12 lies inside the id table but has no node; 40 lies past it.
+  const std::vector<WorkloadEvent> events = {
+      {seconds(1), WorkloadAction::kDepart, 11},
+      {seconds(2), WorkloadAction::kDepart, 12},
+      {seconds(3), WorkloadAction::kRejoin, 13},
+      {seconds(4), WorkloadAction::kAnnounce, 40},
+      {seconds(5), WorkloadAction::kAnnounce, 13},
+  };
+  schedule_workload_events(simulator, nodes, /*id_bound=*/14, events);
+  EXPECT_EQ(simulator.pending_events(), 3u);
+  simulator.run_all();
+  const auto& a = static_cast<const LifecycleCounter&>(*nodes[0]);
+  const auto& b = static_cast<const LifecycleCounter&>(*nodes[1]);
+  EXPECT_EQ(a.departs, 1);
+  EXPECT_EQ(a.rejoins + a.announces, 0);
+  EXPECT_EQ(b.departs, 0);
+  EXPECT_EQ(b.rejoins, 1);
+  EXPECT_EQ(b.announces, 1);
 }
 
 TEST(Scenario, ModelNames) {

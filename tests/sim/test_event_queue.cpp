@@ -226,6 +226,8 @@ class CheckedQueue {
   }
   void cancel_nth(std::size_t i) { cancel(pending_[i].id); }
 
+  void reserve(std::size_t more) { q_.reserve(more); }
+
   /// Cancels an id that is no longer pending; the queue must not move.
   void cancel_stale(EventId id) {
     ASSERT_EQ(index_of_.count(id), 0u);
@@ -387,6 +389,36 @@ TEST(EventQueue, NearFutureStormAcrossRingAndHeapMatchesReference) {
   ASSERT_NO_FATAL_FAILURE(q.drain());
 }
 
+TEST(EventQueue, ReserveMidStormKeepsIdsOrderAndStats) {
+  // reserve() moves capacity only: after one in the middle of a storm
+  // across both tiers, every pop, size() and counter still matches the
+  // reference, and every id matches the same storm without the reserve.
+  const auto storm = [](bool reserve, std::vector<EventId>& ids) {
+    CheckedQueue q;
+    Random rng(2006);
+    for (int round = 0; round < 20'000; ++round) {
+      if (reserve && round == 10'000) q.reserve(5'000);
+      const auto action = rng.uniform_int(0, 99);
+      if (action < 55 || q.pending() == 0) {
+        ids.push_back(q.schedule(q.now() + rng.uniform_int(0, 2'000)));
+      } else if (action < 70) {
+        q.cancel_nth(static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(q.pending()) - 1)));
+      } else {
+        ASSERT_NO_FATAL_FAILURE(q.pop_and_check());
+      }
+      ASSERT_NO_FATAL_FAILURE(q.check_state());
+    }
+    EXPECT_GT(q.peak(), 1'000u);
+    ASSERT_NO_FATAL_FAILURE(q.drain());
+  };
+  std::vector<EventId> with_reserve;
+  std::vector<EventId> without;
+  ASSERT_NO_FATAL_FAILURE(storm(true, with_reserve));
+  ASSERT_NO_FATAL_FAILURE(storm(false, without));
+  EXPECT_EQ(with_reserve, without);
+}
+
 TEST(EventQueue, HeapEntryWinsSameInstantTieWithRingEntry) {
   // A timer due at 300 is scheduled while the floor is 0, so it goes to
   // the heap; once a pop at 250 moves the floor within 128 us of 300,
@@ -529,6 +561,56 @@ TEST(EventQueue, LeaseChurnCallbacksDoNotAllocate) {
   EXPECT_EQ(q.stats().callback_heap_allocs, 0u);
   EXPECT_EQ(q.stats().events_scheduled, 8u + 8u * 100u);
   EXPECT_EQ(q.stats().events_cancelled, 8u * 100u);
+}
+
+// A callable that counts its moves: each is one relocation of its slot
+// (it is copied in, so scheduling it moves nothing).
+struct MoveCounter {
+  int* moves;
+  explicit MoveCounter(int* counter) : moves(counter) {}
+  MoveCounter(const MoveCounter&) = default;
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) {
+    ++*moves;
+  }
+  void operator()() const {}
+};
+
+int relocations_over_a_batch(bool reserve) {
+  EventQueue q;
+  int moves = 0;
+  const MoveCounter tracked(&moves);
+  q.schedule(seconds(1), tracked);
+  if (reserve) q.reserve(1'000);
+  for (int i = 0; i < 1'000; ++i) q.schedule(seconds(2) + i, [] {});
+  return moves;
+}
+
+TEST(EventQueue, ReserveGrowsTheSlabOnceForABatch) {
+  // Grown once ahead of the batch, the slab relocates the live callback
+  // once (1 -> 1,024 slots); grown by doubling, once per doubling.
+  EXPECT_EQ(relocations_over_a_batch(true), 1);
+  EXPECT_GE(relocations_over_a_batch(false), 9);
+}
+
+TEST(EventQueue, ReserveCountsFreeSlots) {
+  EventQueue q;
+  int moves = 0;
+  const MoveCounter tracked(&moves);
+  q.schedule(seconds(1), tracked);
+  std::vector<EventId> ids;
+  for (int i = 0; i < 15; ++i) {
+    ids.push_back(q.schedule(seconds(2), [] {}));
+  }
+  for (std::size_t i = 0; i < 12; ++i) q.cancel(ids[i]);
+  // 16 slots, 12 of them free: 20 more events need 8 fresh slots, so
+  // the slab grows to bit_ceil(24) = 32 slots, not bit_ceil(36) = 64.
+  moves = 0;
+  q.reserve(20);
+  EXPECT_EQ(moves, 1);
+  for (int i = 0; i < 28; ++i) q.schedule(seconds(3), [] {});
+  EXPECT_EQ(moves, 1);  // 32 slots in use, none relocated
+  q.schedule(seconds(3), [] {});
+  EXPECT_EQ(moves, 2);  // the 33rd slot doubles the slab
 }
 
 TEST(EventQueue, OversizedCallbackIsCountedAsHeapAlloc) {

@@ -34,11 +34,11 @@ inline bool check(bool ok, std::string_view claim) {
   return ok;
 }
 
-/// Minimal streaming JSON writer for the machine-readable bench
-/// artifacts (BENCH_*.json). Handles only what the benches need -
+/// Minimal streaming JSON writer for sim_kernel's machine-readable
+/// artifact (BENCH_sim_kernel.json). Handles only what it needs -
 /// nested objects, string/number/bool fields - and keeps the output
 /// valid by tracking per-depth comma state. Numbers are emitted with
-/// enough precision to round-trip; the benches never produce NaN/inf.
+/// enough precision to round-trip; sim_kernel never produces NaN/inf.
 class JsonWriter {
  public:
   /// Opens an object: the root when `key` is empty, a named member
@@ -91,8 +91,6 @@ class JsonWriter {
     out_ += buf;
     return *this;
   }
-
-  [[nodiscard]] const std::string& str() const noexcept { return out_; }
 
   /// Writes the accumulated document to `path`; returns success.
   [[nodiscard]] bool write_file(const std::string& path) const {

@@ -1,33 +1,24 @@
-// Kernel benchmark with a machine-readable artifact. Two halves:
-//
-//  1. google-benchmark microbenchmarks of the simulation substrate
-//     (event queue, RNG, message delivery, whole-run cost per model) -
-//     the numbers behind the harness's capacity planning (a full paper
-//     sweep is 5 systems x 19 rates x 30 runs = 2850 simulations).
-//  2. Head-to-heads of the seed event queue (binary priority_queue +
-//     tombstone cancel + std::function) and the current kernel (a
-//     callback slab ordered by two tiers: a 128-bucket calendar ring for
-//     events due within 128 us of the last pop, and a 4-ary heap of
-//     keyed entries with bottom-up erase for everything later), timed
-//     with steady_clock and written to BENCH_sim_kernel.json alongside
-//     the kernel's own counters. Two workloads: lease churn (timers
-//     cancelled and re-armed, all in the heap) and delivery_mix
-//     (deliveries due 10-100 us ahead over about 20 k pending far
-//     timers, the event mix of a paper run, all in the ring). A third
-//     series, sim_loop, times Simulator::run_until itself. CI uploads
-//     the JSON as an artifact.
+// Kernel head-to-heads with a machine-readable artifact: the seed event
+// queue (binary priority_queue + tombstone cancel + std::function)
+// against the current kernel (a callback slab ordered by two tiers: a
+// 128-bucket calendar ring for events due within 128 us of the last
+// pop, and a 4-ary heap of keyed entries with bottom-up erase for
+// everything later), timed with steady_clock and written to
+// BENCH_sim_kernel.json alongside the kernel's own counters. Two
+// workloads: lease churn (timers cancelled and re-armed, all in the
+// heap) and delivery_mix (deliveries due 10-100 us ahead over about
+// 20 k pending far timers, the event mix of a paper run, all in the
+// ring). A third series, sim_loop, times Simulator::run_until itself.
+// CI gates all three against the parent commit and uploads the JSON.
 //
 // Environment knobs:
-//   SDCM_BENCH_SMOKE  - nonzero: skip microbenches, and time each series
-//                       for about 20-100 ms per repetition (CI): shorter
-//                       series measure the host, not the 2 % the CI
-//                       kernel gate checks. The smoke series keep the
-//                       full runs' queue depths and only run fewer
-//                       events, so their events/s compare across both.
-//   SDCM_BENCH_ITERS  - override lease-churn rounds per repetition
+//   SDCM_BENCH_SMOKE  - nonzero: time each series for about 20-100 ms
+//                       per repetition (CI): shorter series measure the
+//                       host, not the 2 % the CI kernel gate checks. The
+//                       smoke series keep the full runs' queue depths
+//                       and only run fewer events, so their events/s
+//                       compare across both.
 //   SDCM_BENCH_JSON   - artifact path (default BENCH_sim_kernel.json)
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
@@ -39,107 +30,12 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "sdcm/experiment/scenario.hpp"
-#include "sdcm/net/network.hpp"
 #include "sdcm/sim/simulator.hpp"
 #include "seed_event_queue.hpp"
 
 namespace {
 
 using namespace sdcm;
-
-// --- google-benchmark microbenches ----------------------------------
-
-void BM_EventQueueScheduleAndPop(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      queue.schedule(i, [&fired] { ++fired; });
-    }
-    while (!queue.empty()) queue.pop().cb();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_EventQueueScheduleAndPop);
-
-void BM_SeedEventQueueScheduleAndPop(benchmark::State& state) {
-  for (auto _ : state) {
-    bench::SeedEventQueue queue;
-    int fired = 0;
-    for (int i = 0; i < 1000; ++i) {
-      queue.schedule(i, [&fired] { ++fired; });
-    }
-    while (!queue.empty()) queue.pop().cb();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_SeedEventQueueScheduleAndPop);
-
-void BM_EventQueueCancelHeavy(benchmark::State& state) {
-  // The protocol-shaped pattern: almost every scheduled timer is
-  // cancelled (lease renewed) before it can fire.
-  for (auto _ : state) {
-    sim::EventQueue queue;
-    sim::EventId pending[64] = {};
-    int fired = 0;
-    for (int round = 0; round < 100; ++round) {
-      for (auto& id : pending) {
-        queue.cancel(id);
-        id = queue.schedule(round * 100 + 1000, [&fired] { ++fired; });
-      }
-    }
-    while (!queue.empty()) queue.pop().cb();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(state.iterations() * 64 * 100);
-}
-BENCHMARK(BM_EventQueueCancelHeavy);
-
-void BM_RandomUniformInt(benchmark::State& state) {
-  sim::Random rng(42);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(rng.uniform_int(0, 1000000));
-  }
-}
-BENCHMARK(BM_RandomUniformInt);
-
-void BM_UdpUnicastDelivery(benchmark::State& state) {
-  sim::Simulator simulator(1);
-  simulator.trace().set_recording(false);
-  net::Network network(simulator);
-  network.attach(1, [](const net::Message&) {});
-  std::uint64_t received = 0;
-  network.attach(2, [&](const net::Message&) { ++received; });
-  net::Message msg;
-  msg.src = 1;
-  msg.dst = 2;
-  msg.type = sdcm::net::MessageType::intern("bench");
-  for (auto _ : state) {
-    network.send(msg);
-    simulator.run_until(simulator.now() + sim::milliseconds(1));
-  }
-  benchmark::DoNotOptimize(received);
-  state.SetItemsProcessed(static_cast<std::int64_t>(received));
-}
-BENCHMARK(BM_UdpUnicastDelivery);
-
-void BM_FullRun(benchmark::State& state) {
-  const auto model =
-      static_cast<experiment::SystemModel>(state.range(0));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    experiment::ExperimentConfig config;
-    config.model = model;
-    config.lambda = 0.45;
-    config.seed = seed++;
-    benchmark::DoNotOptimize(experiment::run_experiment(config));
-  }
-  state.SetLabel(std::string(experiment::to_string(model)));
-}
-BENCHMARK(BM_FullRun)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 // --- lease-churn head-to-head ---------------------------------------
 
@@ -377,12 +273,10 @@ int run_lease_churn_comparison(bool smoke) {
     shape.rounds = 8000;
     shape.reps = 2;
   }
-  shape.rounds = sdcm::experiment::env::bench_iters(shape.rounds);
 
   bench::banner("sim_kernel", "event-queue lease-churn head-to-head");
-  std::printf("leases=%d rounds=%d reps=%d (SDCM_BENCH_ITERS overrides "
-              "rounds)\n",
-              shape.leases, shape.rounds, shape.reps);
+  std::printf("leases=%d rounds=%d reps=%d\n", shape.leases, shape.rounds,
+              shape.reps);
 
   const auto seed = run_lease_churn<bench::SeedEventQueue>(
       shape, [](bench::SeedEventQueue&) {});
@@ -487,11 +381,6 @@ int run_lease_churn_comparison(bool smoke) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  const bool smoke = sdcm::experiment::env::bench_smoke();
-  if (!smoke) benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return run_lease_churn_comparison(smoke);
+int main() {
+  return run_lease_churn_comparison(sdcm::experiment::env::bench_smoke());
 }

@@ -9,7 +9,6 @@ namespace sdcm::experiment::env {
 ///
 ///   SDCM_RUNS         runs per (model, lambda) point
 ///   SDCM_BENCH_SMOKE  nonzero: tiny CI-sized workloads
-///   SDCM_BENCH_ITERS  iteration override for microbenches
 ///   SDCM_THREADS      worker threads (0 = hardware concurrency)
 ///
 /// Every parser falls back on unset, malformed, or out-of-range input -
@@ -21,9 +20,6 @@ int int_or(const char* name, int fallback, int min = 1);
 
 /// SDCM_RUNS (positive; default the paper's 30 logs per point).
 int runs(int fallback = 30);
-
-/// SDCM_BENCH_ITERS (positive).
-int bench_iters(int fallback);
 
 /// SDCM_BENCH_SMOKE: set, nonempty and not "0".
 bool bench_smoke();

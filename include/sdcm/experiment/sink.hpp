@@ -248,10 +248,11 @@ class MultiSink final : public RunSink {
 };
 
 /// The `sdcm_campaign` version JsonlSink writes, and the only one the
-/// reader accepts. Version 2 logs come from the single subscriber-only
-/// multicast path; version 1 logs may hold any of three older multicast
-/// RNG streams, so nothing reads them.
-inline constexpr std::uint64_t kCampaignLogVersion = 2;
+/// reader accepts. Version 3 headers record the campaign's AblationSpec;
+/// a version 2 log cannot say which ablation produced it, and version 1
+/// logs may hold any of three older multicast RNG streams, so nothing
+/// reads either.
+inline constexpr std::uint64_t kCampaignLogVersion = 3;
 
 /// The campaign header line of a JSONL log.
 struct CampaignHeader {
@@ -263,6 +264,7 @@ struct CampaignHeader {
   int registries = -1;
   std::uint64_t seed = 0;
   WorkloadKind workload = WorkloadKind::kStatic;
+  AblationSpec ablation;
   std::size_t shard_index = 0;
   std::size_t shard_count = 1;
 };
@@ -292,10 +294,10 @@ std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
 
 /// Merges shard logs (each produced by JsonlSink over the same campaign
 /// config) back into the full sweep: every header must parse and agree
-/// on (models, lambdas, runs, topology, seed, workload), every (point,
-/// run) must appear exactly once across the inputs, and the rebuilt
-/// summaries are bit-identical to the unsharded run_sweep result. On
-/// failure returns std::nullopt with a message on `error`.
+/// on (models, lambdas, runs, topology, seed, workload, ablation), every
+/// (point, run) must appear exactly once across the inputs, and the
+/// rebuilt summaries are bit-identical to the unsharded run_sweep
+/// result. On failure returns std::nullopt with a message on `error`.
 std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
                                        std::string& error);
 

@@ -40,6 +40,8 @@ struct AblationSpec {
   double message_loss_rate = 0.0;
 
   void apply(ExperimentConfig& run) const;
+
+  friend bool operator==(const AblationSpec&, const AblationSpec&) = default;
 };
 
 /// Deterministic campaign partition: shard `index` of `count` executes

@@ -65,10 +65,10 @@ class MessageSink {
   /// atoms; an engaged *empty* vector receives no multicast at all.
   /// Unicast and TCP delivery are never filtered.
   ///
-  /// Resolution is lazy: the network reads this on the first multicast
-  /// after attach, never during attach itself, because protocol nodes
-  /// attach from their base-class constructor where a virtual call
-  /// would not reach the derived override.
+  /// Resolution is lazy and happens once: the network reads this on
+  /// the first multicast after attach, never during attach itself,
+  /// because protocol nodes attach from their base-class constructor
+  /// where a virtual call would not reach the derived override.
   [[nodiscard]] virtual std::optional<std::vector<MessageType>>
   multicast_interests() const {
     return std::nullopt;
@@ -164,13 +164,6 @@ class Network {
   /// UPnP and Jini use for multicast (Table 3); FRODO uses 1.
   void multicast(const Message& msg, int redundant_copies = 1);
 
-  /// Replaces `id`'s interest set (same semantics as
-  /// MessageSink::multicast_interests) and marks it resolved, so the
-  /// lazy resolution pass will not consult the sink again. Used by
-  /// tests and by sinks whose interests change after attach.
-  void set_multicast_interests(NodeId id,
-                               std::optional<std::vector<MessageType>> types);
-
   /// Current subscribers of `type` in attach order (universal sinks
   /// included). Forces resolution of any pending interests.
   [[nodiscard]] std::vector<NodeId> multicast_subscribers(MessageType type);
@@ -178,7 +171,7 @@ class Network {
   /// Verifies the subscription index against a from-scratch rebuild off
   /// the port table: every subscriber list sorted by attach sequence,
   /// no stale or missing entries. Returns false (and never throws) on
-  /// any mismatch; the fuzzer calls this after churn workloads.
+  /// any mismatch; every experiment run calls this after its run loop.
   [[nodiscard]] bool check_subscription_index();
 
   /// Low-level single wire transmission used by the TCP model: counts the
@@ -270,15 +263,11 @@ class Network {
   [[nodiscard]] const Port& port(NodeId id) const;
   [[nodiscard]] bool lost_in_transit();
 
-  /// Consults multicast_interests() for every port attached since the
-  /// last pass (virtual dispatch is safe by now: nothing multicasts
-  /// during construction) and indexes the answers.
+  /// Consults multicast_interests() once for every port attached since
+  /// the last pass (virtual dispatch is safe by now: nothing multicasts
+  /// during construction) and appends each to the lists it subscribes
+  /// to.
   void resolve_pending_interests();
-  /// Installs `types` as `p`'s interest set, removing any previous
-  /// index entries first.
-  void apply_interests(NodeId id, Port& p,
-                       std::optional<std::vector<MessageType>> types);
-  void drop_index_entries(NodeId id, const Port& p);
   /// The per-atom subscriber list of `type` (empty when nobody declared
   /// it); universal sinks are not on it.
   [[nodiscard]] const std::vector<Sub>& subscribers_of(MessageType type) const;

@@ -44,7 +44,8 @@ inline const std::vector<std::uint64_t>& profile_ns_bounds() {
 
 /// Process-wide memory watermarks: peak RSS (KB, VmHWM from
 /// /proc/self/status, else getrusage) and current heap bytes (glibc
-/// mallinfo2; 0 where unavailable and under AddressSanitizer).
+/// mallinfo2's in-use arena bytes plus its mmapped chunks; 0 where
+/// unavailable and under AddressSanitizer).
 struct MemorySample {
   std::uint64_t peak_rss_kb = 0;
   std::uint64_t heap_bytes = 0;

@@ -26,10 +26,6 @@ int int_or(const char* name, int fallback, int min) {
 
 int runs(int fallback) { return int_or("SDCM_RUNS", fallback, 1); }
 
-int bench_iters(int fallback) {
-  return int_or("SDCM_BENCH_ITERS", fallback, 1);
-}
-
 bool bench_smoke() {
   const char* value = std::getenv("SDCM_BENCH_SMOKE");
   return value != nullptr && *value != '\0' &&

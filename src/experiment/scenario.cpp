@@ -167,9 +167,10 @@ metrics::RunRecord run_impl(const ExperimentConfig& config,
   simulator.run_until(config.duration);
 
   phase.emplace(profiler, phase_sites().extract);
-  // Every run doubles as a churn-correctness check of the interest
-  // index: after arbitrary depart/rejoin/announce traffic the dense
-  // per-type subscriber lists must still equal a from-scratch rebuild.
+  // Self-check of the interest index: the per-type subscriber lists,
+  // built once per node in attach order, must equal a from-scratch
+  // rebuild off the port table. Nothing re-declares interests mid-run,
+  // so churn does not touch them; a mismatch is an indexing bug.
   if (!network.check_subscription_index()) {
     throw std::logic_error(
         "net::Network subscription index diverged from a rebuild");

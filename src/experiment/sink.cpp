@@ -91,6 +91,44 @@ using jsonu::append_i64;
 using jsonu::append_quoted;
 using jsonu::append_u64;
 
+/// The AblationSpec toggles under their campaign-log keys.
+struct AblationToggleField {
+  const char* name;
+  bool AblationSpec::*member;
+};
+constexpr AblationToggleField kAblationToggles[] = {
+    {"frodo_pr1", &AblationSpec::frodo_pr1},
+    {"frodo_srn2", &AblationSpec::frodo_srn2},
+    {"frodo_pr3", &AblationSpec::frodo_pr3},
+    {"frodo_pr4", &AblationSpec::frodo_pr4},
+    {"frodo_pr5", &AblationSpec::frodo_pr5},
+    {"upnp_pr4", &AblationSpec::upnp_pr4},
+    {"upnp_pr5", &AblationSpec::upnp_pr5},
+};
+
+/// `--placement` spellings, which the campaign log reuses.
+constexpr std::string_view kPlacementFit = "fit";
+constexpr std::string_view kPlacementTruncated = "truncated";
+
+void append_ablation(std::string& out, const AblationSpec& a) {
+  char sep = '{';
+  for (const AblationToggleField& toggle : kAblationToggles) {
+    out += sep;
+    append_quoted(out, toggle.name);
+    out += a.*toggle.member ? ":true" : ":false";
+    sep = ',';
+  }
+  out += ",\"placement\":";
+  append_quoted(out, a.placement == net::FailurePlacement::kFitInside
+                         ? kPlacementFit
+                         : kPlacementTruncated);
+  out += ",\"episodes\":";
+  append_i64(out, a.episodes);
+  out += ",\"message_loss_rate\":";
+  append_double(out, a.message_loss_rate);
+  out += '}';
+}
+
 void append_kernel(std::string& out, const sim::KernelStats& k) {
   char sep = '{';
   for (const sim::KernelStatsField& field : sim::kKernelStatsFields) {
@@ -132,6 +170,8 @@ void JsonlSink::on_campaign_begin(const SweepConfig& config, std::uint64_t) {
   append_u64(line, config.master_seed);
   line += ",\"workload\":";
   append_quoted(line, to_string(config.workload.kind));
+  line += ",\"ablation\":";
+  append_ablation(line, config.ablation);
   line += ",\"shard_index\":";
   append_u64(line, config.shard.index);
   line += ",\"shard_count\":";
@@ -380,6 +420,34 @@ bool parse_kernel(const JsonValue& obj, sim::KernelStats& out,
   return true;
 }
 
+bool parse_ablation(const JsonValue& obj, AblationSpec& out,
+                    std::string& error) {
+  for (const AblationToggleField& toggle : kAblationToggles) {
+    const JsonValue* value = obj.find(toggle.name);
+    if (value == nullptr || value->type != JsonValue::Type::kBool) {
+      error = std::string("missing or invalid ablation field '") +
+              toggle.name + "'";
+      return false;
+    }
+    out.*toggle.member = value->boolean;
+  }
+  const JsonValue* placement = obj.find("placement");
+  const std::string_view spelling =
+      placement != nullptr && placement->type == JsonValue::Type::kString
+          ? std::string_view(placement->text)
+          : std::string_view();
+  if (spelling == kPlacementFit) {
+    out.placement = net::FailurePlacement::kFitInside;
+  } else if (spelling == kPlacementTruncated) {
+    out.placement = net::FailurePlacement::kTruncated;
+  } else {
+    error = "missing or invalid ablation field 'placement'";
+    return false;
+  }
+  return get_int(obj, "episodes", out.episodes, error) &&
+         get_double(obj, "message_loss_rate", out.message_loss_rate, error);
+}
+
 }  // namespace
 
 std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
@@ -467,6 +535,12 @@ std::optional<CampaignHeader> parse_jsonl_header(std::string_view line,
     return std::nullopt;
   }
   header.workload = *kind;
+  const JsonValue* ablation = root.find("ablation");
+  if (ablation == nullptr || ablation->type != JsonValue::Type::kObject) {
+    error = "missing or invalid field 'ablation'";
+    return std::nullopt;
+  }
+  if (!parse_ablation(*ablation, header.ablation, error)) return std::nullopt;
   return header;
 }
 
@@ -552,11 +626,21 @@ std::optional<CampaignRun> parse_jsonl_run(std::string_view line,
 
 namespace {
 
-bool same_campaign(const CampaignHeader& a, const CampaignHeader& b) {
-  return a.models == b.models && a.lambdas == b.lambdas && a.runs == b.runs &&
-         a.users == b.users && a.managers == b.managers &&
-         a.registries == b.registries && a.seed == b.seed &&
-         a.workload == b.workload;
+/// The first field on which two shard headers describe different
+/// campaigns, or nullptr when they describe the same one.
+const char* campaign_mismatch(const CampaignHeader& a,
+                              const CampaignHeader& b) {
+  if (a.models != b.models) return "models";
+  if (a.lambdas != b.lambdas) return "lambdas";
+  if (a.runs != b.runs) return "runs";
+  if (a.users != b.users || a.managers != b.managers ||
+      a.registries != b.registries) {
+    return "topology";
+  }
+  if (a.seed != b.seed) return "seed";
+  if (a.workload != b.workload) return "workload";
+  if (a.ablation != b.ablation) return "ablation";
+  return nullptr;
 }
 
 }  // namespace
@@ -608,10 +692,9 @@ std::optional<SweepResult> merge_jsonl(std::span<std::istream* const> shards,
       seen.assign(result.points.size() *
                       static_cast<std::size_t>(campaign->runs),
                   0);
-    } else if (!same_campaign(*campaign, *header)) {
-      error = where +
-              ": header does not match the first shard's campaign "
-              "(models/lambdas/runs/topology/seed/workload must agree)";
+    } else if (const char* field = campaign_mismatch(*campaign, *header)) {
+      error = where + ": header's " + field +
+              " does not match the first shard's campaign";
       return std::nullopt;
     }
 

@@ -38,32 +38,6 @@ sim::TraceDetail type_detail(const Message& m) {
   return sim::TraceDetail{}.type(m.type);
 }
 
-/// Inserts a {seq, id} entry into a seq-sorted subscriber list. Attach
-/// hands out monotonically increasing seqs, so the common case is an
-/// append; the binary search only runs when interests are re-declared
-/// out of attach order.
-template <typename List, typename Entry>
-void insert_sorted_by_seq(List& list, Entry entry) {
-  if (list.empty() || list.back().seq < entry.seq) {
-    list.push_back(entry);
-    return;
-  }
-  const auto it = std::lower_bound(
-      list.begin(), list.end(), entry.seq,
-      [](const Entry& a, std::uint32_t seq) { return a.seq < seq; });
-  list.insert(it, entry);
-}
-
-/// Removes the entry with `seq` from a seq-sorted list, if present.
-template <typename List>
-void erase_seq(List& list, std::uint32_t seq) {
-  using Entry = typename List::value_type;
-  const auto it = std::lower_bound(
-      list.begin(), list.end(), seq,
-      [](const Entry& a, std::uint32_t q) { return a.seq < q; });
-  if (it != list.end() && it->seq == seq) list.erase(it);
-}
-
 /// Visits the ids of two seq-sorted subscriber lists merged in attach
 /// order (a sink is never on both: universal sinks have no per-atom
 /// entries).
@@ -226,52 +200,27 @@ std::uint32_t Network::intern_interest_set(
   return it->second;
 }
 
-void Network::drop_index_entries(NodeId id, const Port& p) {
-  (void)id;
-  if (p.interest == kInterestUniversal) {
-    erase_seq(universal_, p.seq);
-    return;
-  }
-  if (p.interest == kInterestUnresolved) return;
-  for (const MessageType::Id tid : interest_sets_[p.interest]) {
-    if (static_cast<std::size_t>(tid) < subs_by_type_.size()) {
-      erase_seq(subs_by_type_[tid], p.seq);
-    }
-  }
-}
-
-void Network::apply_interests(NodeId id, Port& p,
-                              std::optional<std::vector<MessageType>> types) {
-  drop_index_entries(id, p);
-  if (!types.has_value()) {
-    p.interest = kInterestUniversal;
-    insert_sorted_by_seq(universal_, Sub{p.seq, id});
-    return;
-  }
-  const std::uint32_t set = intern_interest_set(*types);
-  p.interest = set;
-  for (const MessageType::Id tid : interest_sets_[set]) {
-    if (static_cast<std::size_t>(tid) >= subs_by_type_.size()) {
-      subs_by_type_.resize(static_cast<std::size_t>(tid) + 1);
-    }
-    insert_sorted_by_seq(subs_by_type_[tid], Sub{p.seq, id});
-  }
-}
-
 void Network::resolve_pending_interests() {
-  while (resolved_upto_ < order_.size()) {
+  // Ports resolve in attach order, once each, so appending keeps every
+  // subscriber list sorted by seq.
+  for (; resolved_upto_ < order_.size(); ++resolved_upto_) {
     const NodeId id = order_[resolved_upto_];
     Port& p = table_[static_cast<std::size_t>(id)];
-    if (p.interest == kInterestUnresolved) {
-      apply_interests(id, p, p.sink->multicast_interests());
+    const std::optional<std::vector<MessageType>> types =
+        p.sink->multicast_interests();
+    if (!types.has_value()) {
+      p.interest = kInterestUniversal;
+      universal_.push_back(Sub{p.seq, id});
+      continue;
     }
-    ++resolved_upto_;
+    p.interest = intern_interest_set(*types);
+    for (const MessageType::Id tid : interest_sets_[p.interest]) {
+      if (static_cast<std::size_t>(tid) >= subs_by_type_.size()) {
+        subs_by_type_.resize(static_cast<std::size_t>(tid) + 1);
+      }
+      subs_by_type_[tid].push_back(Sub{p.seq, id});
+    }
   }
-}
-
-void Network::set_multicast_interests(
-    NodeId id, std::optional<std::vector<MessageType>> types) {
-  apply_interests(id, port(id), std::move(types));
 }
 
 const std::vector<Network::Sub>& Network::subscribers_of(

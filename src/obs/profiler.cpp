@@ -112,8 +112,11 @@ MemorySample sample_memory() noexcept {
 #endif
 #if defined(__GLIBC__) && (__GLIBC__ > 2 || __GLIBC_MINOR__ >= 33) && \
     !defined(SDCM_ASAN)
+  // uordblks leaves out the chunks glibc serves by mmap (128 KiB and up
+  // by default: event slabs, node tables, large maps); hblkhd holds them.
   const struct mallinfo2 info = mallinfo2();
-  sample.heap_bytes = static_cast<std::uint64_t>(info.uordblks);
+  sample.heap_bytes = static_cast<std::uint64_t>(info.uordblks) +
+                      static_cast<std::uint64_t>(info.hblkhd);
 #endif
   return sample;
 }

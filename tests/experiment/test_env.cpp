@@ -25,14 +25,6 @@ TEST(Env, RunsParsesAndFallsBack) {
   unsetenv("SDCM_RUNS");
 }
 
-TEST(Env, BenchItersSharesTheSemantics) {
-  unsetenv("SDCM_BENCH_ITERS");
-  EXPECT_EQ(bench_iters(2000), 2000);
-  setenv("SDCM_BENCH_ITERS", "50", 1);
-  EXPECT_EQ(bench_iters(2000), 50);
-  unsetenv("SDCM_BENCH_ITERS");
-}
-
 TEST(Env, BenchSmokeIsSetNonEmptyNonZero) {
   unsetenv("SDCM_BENCH_SMOKE");
   EXPECT_FALSE(bench_smoke());

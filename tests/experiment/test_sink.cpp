@@ -100,6 +100,12 @@ TEST(Sink, ProgressSinkDrawsAndFinishesWithNewline) {
 TEST(Sink, JsonlRoundTripsRunsExactly) {
   auto config = tiny_config();
   config.keep_records = true;
+  // Every ablation field off its default, so the header must carry each.
+  config.ablation.frodo_srn2 = false;
+  config.ablation.upnp_pr5 = false;
+  config.ablation.placement = net::FailurePlacement::kTruncated;
+  config.ablation.episodes = 2;
+  config.ablation.message_loss_rate = 0.05;
   std::ostringstream log;
   JsonlSink sink(log);
   config.sink = &sink;
@@ -117,6 +123,7 @@ TEST(Sink, JsonlRoundTripsRunsExactly) {
   EXPECT_EQ(header->runs, config.runs);
   EXPECT_EQ(header->users, config.topology.users);
   EXPECT_EQ(header->seed, config.master_seed);
+  EXPECT_TRUE(header->ablation == config.ablation);
   EXPECT_EQ(header->shard_count, 1u);
 
   std::size_t parsed = 0;
@@ -199,8 +206,9 @@ TEST(Sink, MergeRejectsCorruptCampaigns) {
   }
 }
 
-/// The CI shard-smoke campaign, as two shard logs.
-std::vector<std::string> shard_logs() {
+/// The CI shard-smoke campaign, as two shard logs; shard 1 runs under
+/// `shard1_ablation`.
+std::vector<std::string> shard_logs(const AblationSpec& shard1_ablation = {}) {
   SweepConfig config;
   config.models = {SystemModel::kUpnp, SystemModel::kFrodoTwoParty};
   config.lambdas = {0.0, 0.45};
@@ -208,6 +216,7 @@ std::vector<std::string> shard_logs() {
   std::vector<std::string> logs;
   for (std::size_t s = 0; s < 2; ++s) {
     config.shard = {s, 2};
+    if (s == 1) config.ablation = shard1_ablation;
     std::ostringstream log;
     JsonlSink sink(log);
     config.sink = &sink;
@@ -279,6 +288,16 @@ TEST(Sink, ReaderRejectsIntegersThatDoNotFitTheirField) {
     EXPECT_NE(error.find(std::string("'") + c.field + "'"), std::string::npos)
         << error;
   }
+}
+
+TEST(Sink, MergeRefusesShardsOfDifferentAblations) {
+  // Half a campaign run without FRODO's SRN2 is not the other half of
+  // the plain campaign, whatever the rest of the header says.
+  AblationSpec no_srn2;
+  no_srn2.frodo_srn2 = false;
+  std::string error;
+  EXPECT_FALSE(merge(shard_logs(no_srn2), error).has_value());
+  EXPECT_NE(error.find("ablation"), std::string::npos) << error;
 }
 
 /// A trace writer that fails on the first record it sees.

@@ -394,8 +394,9 @@ TEST(Sweep, ScopedRngSweepIsShardInvariantUnderTheOracle) {
 
 TEST(Sweep, MergeRefusesMixedCampaignVersions) {
   // Version 1 logs came from one of three older multicast fan-out
-  // modes, each its own RNG stream: they do not parse, so they never
-  // merge, neither with current logs nor with each other.
+  // modes, each its own RNG stream, and version 2 headers do not record
+  // the ablation: neither parses, so neither merges, with current logs
+  // or with each other.
   SweepConfig config;
   config.models = {SystemModel::kUpnp};
   config.lambdas = {0.15};
@@ -409,35 +410,40 @@ TEST(Sweep, MergeRefusesMixedCampaignVersions) {
     shard.sink = &sink;
     (void)run_sweep(shard);
   }
-  const std::string v2 = log1.str();
-  ASSERT_NE(v2.find("{\"sdcm_campaign\":2,"), std::string::npos) << v2;
-  EXPECT_EQ(v2.find("udp_dropped"), std::string::npos);
-  EXPECT_EQ(v2.find("scope"), std::string::npos);
+  const std::string v3 = log1.str();
+  ASSERT_NE(v3.find("{\"sdcm_campaign\":3,"), std::string::npos) << v3;
+  EXPECT_EQ(v3.find("udp_dropped"), std::string::npos);
+  EXPECT_EQ(v3.find("scope"), std::string::npos);
 
-  // The shards as a version 1 writer emitted them.
-  const auto as_v1 = [](std::string log) {
-    log.replace(log.find("\"sdcm_campaign\":2"), 17, "\"sdcm_campaign\":1");
-    return log;
-  };
-  const std::string v1_0 = as_v1(log0.str());
-  const std::string v1 = as_v1(v2);
+  for (const char* old_version :
+       {"\"sdcm_campaign\":1", "\"sdcm_campaign\":2"}) {
+    // The shards as an older writer stamped them.
+    const auto as_old = [old_version](std::string log) {
+      log.replace(log.find("\"sdcm_campaign\":3"), 17, old_version);
+      return log;
+    };
+    const std::string old_0 = as_old(log0.str());
+    const std::string old_1 = as_old(v3);
+    std::string error;
+    const auto header =
+        parse_jsonl_header(old_1.substr(0, old_1.find('\n')), error);
+    EXPECT_FALSE(header.has_value()) << old_version;
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+
+    std::istringstream in0(log0.str()), in1(old_1);
+    std::istream* shards[] = {&in0, &in1};
+    EXPECT_FALSE(merge_jsonl(shards, error).has_value()) << old_version;
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+
+    std::istringstream old0(old_0), old1(old_1);
+    std::istream* old[] = {&old0, &old1};
+    error.clear();
+    EXPECT_FALSE(merge_jsonl(old, error).has_value()) << old_version;
+    EXPECT_NE(error.find("version"), std::string::npos) << error;
+  }
+
   std::string error;
-  const auto header = parse_jsonl_header(v1.substr(0, v1.find('\n')), error);
-  EXPECT_FALSE(header.has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-
-  std::istringstream in0(log0.str()), in1(v1);
-  std::istream* shards[] = {&in0, &in1};
-  EXPECT_FALSE(merge_jsonl(shards, error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-
-  std::istringstream old0(v1_0), old1(v1);
-  std::istream* old[] = {&old0, &old1};
-  error.clear();
-  EXPECT_FALSE(merge_jsonl(old, error).has_value());
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
-
-  std::istringstream same0(log0.str()), same1(v2);
+  std::istringstream same0(log0.str()), same1(v3);
   std::istream* same[] = {&same0, &same1};
   EXPECT_TRUE(merge_jsonl(same, error).has_value()) << error;
 }

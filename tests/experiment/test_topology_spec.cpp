@@ -3,16 +3,18 @@
 // registries, the clamping contract of resolve_topology, the
 // SweepConfig::validate rejections, and that generalized topologies
 // (R>2 registries, extra background Managers) actually run and keep the
-// m' accounting of Table 2.
+// m' accounting of Table 2, and that a 10^3-User population builds.
 
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "sdcm/discovery/observer.hpp"
 #include "sdcm/experiment/protocol_registry.hpp"
 #include "sdcm/experiment/scenario.hpp"
 #include "sdcm/experiment/sweep.hpp"
+#include "sdcm/net/network.hpp"
 
 namespace sdcm::experiment {
 namespace {
@@ -139,6 +141,24 @@ TEST(TopologySpec, BackgroundManagersDoNotJoinTheConsistencyWindow) {
     EXPECT_EQ(record.update_messages, minimum_update_messages(model, 3))
         << protocol_descriptor(model).name;
   }
+}
+
+TEST(TopologySpec, MdnsBuildsAThousandUsersThroughTheRegistry) {
+  ExperimentConfig config;
+  config.model = SystemModel::kMdns;
+  config.topology.users = 1000;
+  const TopologyLayout layout =
+      resolve_topology(config.model, config.topology);
+  sim::Simulator simulator{1};
+  simulator.trace().set_recording(false);
+  net::Network network{simulator};
+  discovery::ConsistencyObserver observer;
+  network.reserve_nodes(layout.id_bound());
+  const Topology topo = protocol_descriptor(config.model)
+                            .build(config, simulator, network, observer);
+  EXPECT_EQ(topo.nodes.size(), layout.node_count());
+  EXPECT_EQ(network.nodes().size(), layout.node_count());
+  EXPECT_EQ(observer.users().size(), 1000u);
 }
 
 TEST(TopologySpec, SweepValidateRejectsDegenerateTopologies) {

@@ -1,6 +1,6 @@
 // The workload engine: deterministic plan expansion, validation against
 // the run horizon, and end-to-end behaviour (fingerprint determinism,
-// shard-merge invariance, saturation counters).
+// shard-merge invariance, saturation counters, storm mitigation).
 
 #include "sdcm/experiment/workload.hpp"
 
@@ -299,6 +299,24 @@ TEST(WorkloadRuns, SaturationBackpressureShowsUpInKernelStats) {
   const metrics::RunRecord baseline = run_experiment(plain);
   EXPECT_EQ(baseline.kernel.capacity_delayed, 0u);
   EXPECT_EQ(baseline.kernel.capacity_dropped, 0u);
+}
+
+TEST(WorkloadRuns, JitteredStormsShedCapacityDrops) {
+  // The same saturated bursts, synchronized and then staggered over
+  // 30 s: jitter sheds the thundering herd, the reason mDNS and
+  // phoenix-discovery stagger their announcements.
+  SweepConfig config;
+  config.models = {SystemModel::kMdns};
+  config.lambdas = {0.3};
+  config.runs = 2;
+  config.threads = 2;
+  config.workload.kind = WorkloadKind::kSaturation;
+  const std::uint64_t synchronized =
+      run_sweep(config).summary.kernel.capacity_dropped;
+  config.workload.storm.mitigation_jitter = seconds(30);
+  const std::uint64_t jittered =
+      run_sweep(config).summary.kernel.capacity_dropped;
+  EXPECT_LT(jittered, synchronized);
 }
 
 }  // namespace

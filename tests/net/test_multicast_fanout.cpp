@@ -1,6 +1,6 @@
 // Interest-scoped multicast fan-out (DESIGN.md section 14): routing by
-// declared interest against a naive per-node filter, the subscriber-only
-// RNG discipline, the subscription index under interest churn, the
+// declared interest against a naive per-node filter, at 40 and at 10^3
+// nodes, the subscriber-only RNG discipline, the
 // udp_deliveries_skipped counter, and the closure-size / reserve_nodes
 // regressions fixed alongside the scoping work.
 
@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -103,96 +104,120 @@ TEST_F(MulticastScopeFixture, SubscribersListedInAttachOrder) {
             (std::vector<NodeId>{1, 4}));
 }
 
-TEST_F(MulticastScopeFixture, IndexSurvivesInterestChurn) {
-  ASSERT_TRUE(network.check_subscription_index());
-  // Narrow a universal sink, widen a narrow one, silence another, then
-  // restore - every transition rewrites the dense index in place.
-  network.set_multicast_interests(
-      4, std::vector<MessageType>{MessageType::intern("scope.a")});
-  network.set_multicast_interests(
-      2, std::vector<MessageType>{MessageType::intern("scope.a"),
-                                  MessageType::intern("scope.b")});
-  network.set_multicast_interests(3, std::vector<MessageType>{});
-  ASSERT_TRUE(network.check_subscription_index());
-  EXPECT_EQ(network.multicast_subscribers(MessageType::intern("scope.b")),
-            (std::vector<NodeId>{1, 2}));
-  network.set_multicast_interests(3, std::nullopt);  // back to universal
-  ASSERT_TRUE(network.check_subscription_index());
-  EXPECT_EQ(network.multicast_subscribers(MessageType::intern("scope.b")),
-            (std::vector<NodeId>{1, 2, 3}));
-
-  network.multicast(multicast_msg(1, "scope.b"));
-  simulator.run_until(seconds(1));
-  EXPECT_EQ(wants_a.inbox.size(), 1u);  // widened to scope.b above
-  EXPECT_EQ(wants_b.inbox.size(), 1u);
-  EXPECT_TRUE(universal.inbox.empty());  // narrowed to scope.a above
-}
-
 TEST_F(MulticastScopeFixture, DuplicateInterestDeclarationsCollapse) {
-  network.set_multicast_interests(
-      2, std::vector<MessageType>{MessageType::intern("scope.a"),
-                                  MessageType::intern("scope.a")});
+  // Declared through the sink: interests resolve at the first multicast.
+  wants_a.interests = std::vector<MessageType>{MessageType::intern("scope.a"),
+                                               MessageType::intern("scope.a")};
   ASSERT_TRUE(network.check_subscription_index());
   network.multicast(multicast_msg(1, "scope.a"));
   simulator.run_until(seconds(1));
   EXPECT_EQ(wants_a.inbox.size(), 1u);  // one delivery, not two
 }
 
-// The referee for the subscriber lists: a test-local naive filter over
-// nodes(). A node receives a multicast exactly when it is universal or
-// its declared interests include the type - never the source itself.
-// Interests are re-declared halfway so the index is checked after churn.
-TEST(MulticastReferee, DeliveriesMatchANaiveFilterOverNodes) {
-  const MessageType types[] = {
-      MessageType::intern("referee.a"), MessageType::intern("referee.b"),
-      MessageType::intern("referee.c"), MessageType::intern("referee.d")};
-  constexpr NodeId kNodes = 40;
+using Interests = std::optional<std::vector<MessageType>>;
+
+/// One referee input: node `id` declares `interests[id - 1]`, and every
+/// source multicasts every type `rounds` times.
+struct RefereeInput {
+  std::vector<Interests> interests;
+  std::vector<NodeId> sources;
+  std::vector<MessageType> types;
+  int rounds = 1;
+};
+
+struct RefereeTotals {
+  std::uint64_t delivered = 0;
+  std::uint64_t skipped = 0;
+};
+
+/// Runs `input` on a fresh network and checks every inbox, and the
+/// skips the network booked, against a naive filter over nodes(): a
+/// node receives a multicast exactly when it is universal or its
+/// declared interests include the type - never the source itself.
+RefereeTotals referee(const RefereeInput& input) {
+  const auto n = static_cast<NodeId>(input.interests.size());
   sim::Simulator simulator{2024};
   Network network{simulator};
-  std::vector<InterestedSink> sinks(kNodes);
-  const auto declare = [&](std::uint32_t salt) {
-    for (NodeId id = 1; id <= kNodes; ++id) {
-      const std::uint32_t bits = (id * 2654435761u + salt) >> 27;  // 5 bits
-      auto& sink = sinks[id - 1];
-      if ((bits & 16u) != 0) {
-        sink.interests = std::nullopt;  // universal
-        continue;
-      }
-      sink.interests = std::vector<MessageType>{};
-      for (std::uint32_t t = 0; t < 4; ++t) {
-        if ((bits >> t) & 1u) sink.interests->push_back(types[t]);
-      }
-    }
-  };
-  declare(0);
-  for (NodeId id = 1; id <= kNodes; ++id) network.attach(id, sinks[id - 1]);
+  std::vector<InterestedSink> sinks(n);
+  for (NodeId id = 1; id <= n; ++id) {
+    sinks[id - 1].interests = input.interests[id - 1];
+    network.attach(id, sinks[id - 1]);
+  }
 
-  std::vector<std::size_t> expected(kNodes, 0);
-  const auto send_all = [&] {
-    for (NodeId src = 1; src <= kNodes; src += 7) {
-      for (const MessageType type : types) {
+  std::vector<std::size_t> expected(n, 0);
+  std::uint64_t expected_skipped = 0;
+  for (int round = 0; round < input.rounds; ++round) {
+    for (const NodeId src : input.sources) {
+      for (const MessageType type : input.types) {
         network.multicast(multicast_msg(src, type.str()));
         for (const NodeId dst : network.nodes()) {
-          const auto& want = sinks[dst - 1].interests;
+          if (dst == src) continue;
+          const Interests& want = input.interests[dst - 1];
           const bool subscribed =
               !want.has_value() ||
               std::find(want->begin(), want->end(), type) != want->end();
-          if (dst != src && subscribed) ++expected[dst - 1];
+          if (subscribed) {
+            ++expected[dst - 1];
+          } else {
+            ++expected_skipped;
+          }
         }
       }
     }
-  };
-  send_all();
-  declare(12345);
-  for (NodeId id = 1; id <= kNodes; ++id) {
-    network.set_multicast_interests(id, sinks[id - 1].interests);
   }
-  ASSERT_TRUE(network.check_subscription_index());
-  send_all();
+  EXPECT_TRUE(network.check_subscription_index());
   simulator.run_until(seconds(1));
-  for (NodeId id = 1; id <= kNodes; ++id) {
+
+  RefereeTotals totals;
+  for (NodeId id = 1; id <= n; ++id) {
     EXPECT_EQ(sinks[id - 1].inbox.size(), expected[id - 1]) << "node " << id;
+    totals.delivered += sinks[id - 1].inbox.size();
   }
+  totals.skipped = simulator.kernel_stats().udp_deliveries_skipped;
+  EXPECT_EQ(totals.skipped, expected_skipped);
+  return totals;
+}
+
+// The referee for the subscriber lists. Each input runs on its own
+// network, because a node's interests resolve once.
+TEST(MulticastReferee, DeliveriesMatchANaiveFilterOverNodes) {
+  const std::vector<MessageType> types = {
+      MessageType::intern("referee.a"), MessageType::intern("referee.b"),
+      MessageType::intern("referee.c"), MessageType::intern("referee.d")};
+  constexpr NodeId kNodes = 40;
+  // Two hashed mixes of universal, narrow and silent nodes.
+  for (const std::uint32_t salt : {0u, 12345u}) {
+    RefereeInput mixed;
+    mixed.types = types;
+    for (NodeId id = 1; id <= kNodes; ++id) {
+      const std::uint32_t bits = (id * 2654435761u + salt) >> 27;  // 5 bits
+      if ((bits & 16u) != 0) {
+        mixed.interests.emplace_back(std::nullopt);  // universal
+        continue;
+      }
+      auto& declared = mixed.interests.emplace_back(std::vector<MessageType>{});
+      for (std::uint32_t t = 0; t < 4; ++t) {
+        if ((bits >> t) & 1u) declared->push_back(types[t]);
+      }
+    }
+    for (NodeId src = 1; src <= kNodes; src += 7) mixed.sources.push_back(src);
+    referee(mixed);
+  }
+
+  // A hub's 50 rounds to 10^3 sinks, all universal, then with only 16
+  // subscribed and the rest declaring another type.
+  RefereeInput hub;
+  hub.sources = {1};
+  hub.types = {MessageType::intern("referee.ping")};
+  hub.rounds = 50;
+  hub.interests.assign(1001, std::nullopt);
+  EXPECT_EQ(referee(hub).delivered, 50000u);
+  hub.interests.assign(
+      1001, std::vector<MessageType>{MessageType::intern("referee.other")});
+  for (std::size_t i = 1; i <= 16; ++i) hub.interests[i] = hub.types;
+  const RefereeTotals scoped = referee(hub);
+  EXPECT_EQ(scoped.delivered, 800u);
+  EXPECT_EQ(scoped.skipped, 49200u);
 }
 
 // Only subscribers draw delay/loss: attaching a node that never

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
+
+#include "sdcm/obs/profiler.hpp"
 
 namespace sdcm::net {
 namespace {
@@ -327,6 +330,45 @@ TEST(NetworkInFlight, HandlerThatSendsDuringDeliveryKeepsItsMessage) {
                                                "request #2"}));
   EXPECT_EQ(replies, 3 * 64);
   EXPECT_EQ(simulator.kernel_stats().callback_heap_allocs, 0u);
+}
+
+/// A bare receiver: one vtable pointer, as a protocol node adds.
+struct NullSink final : MessageSink {
+  void handle_message(const Message&) override {}
+};
+
+/// Heap bytes per node that attaching `n` sinks costs the network. The
+/// sinks exist before the first sample, so only the NodeTable and the
+/// attach order count.
+double attach_bytes_per_node(NodeId n) {
+  sim::Simulator simulator{1};
+  Network network{simulator};
+  std::vector<NullSink> sinks(n);
+  const std::uint64_t before = obs::sample_memory().heap_bytes;
+  network.reserve_nodes(n);
+  for (NodeId id = 1; id <= n; ++id) network.attach(id, sinks[id - 1]);
+  const std::uint64_t after = obs::sample_memory().heap_bytes;
+  return after > before ? static_cast<double>(after - before) / n : 0.0;
+}
+
+// Dense NodeId-indexed tables: attach storage per node must not grow
+// with N, from 10^3 up to 10^5 sinks, where the table is far past the
+// size glibc serves by mmap.
+TEST(NetworkAttach, BytesPerNodeStayFlatAcrossDecades) {
+  if (obs::sample_memory().heap_bytes == 0) {
+    GTEST_SKIP() << "heap_bytes is not sampled in this build";
+  }
+  const double at_1e3 = attach_bytes_per_node(1000);
+  for (const NodeId n : {NodeId{1000}, NodeId{10000}, NodeId{100000}}) {
+    const double per_node = attach_bytes_per_node(n);
+    // Each node holds at least its sink pointer and its attach-order
+    // entry; less means the sample missed the table.
+    EXPECT_GE(per_node, static_cast<double>(sizeof(MessageSink*) +
+                                            sizeof(NodeId)))
+        << n << " nodes";
+    // 10 % slack absorbs allocator bucketing at the small end.
+    EXPECT_LE(per_node, at_1e3 * 1.10) << n << " nodes";
+  }
 }
 
 }  // namespace

@@ -115,6 +115,18 @@ TEST(Profiler, MemoryWatermarksAreSampledAtPhaseEnds) {
   EXPECT_GE(profile.phases[0].peak_rss_kb, sample.peak_rss_kb);
 }
 
+TEST(Profiler, HeapBytesCountMmappedChunks) {
+  // glibc serves a block this large by mmap, which mallinfo2's
+  // uordblks leaves out; heap_bytes must count it all the same.
+  constexpr std::size_t kBlock = std::size_t{8} << 20;
+  const std::uint64_t before = sample_memory().heap_bytes;
+  if (before == 0) GTEST_SKIP() << "heap_bytes is not sampled in this build";
+  const std::unique_ptr<char[]> block(new char[kBlock]);
+  // Keep the compiler from dropping an allocation nothing reads.
+  asm volatile("" : : "r"(block.get()) : "memory");
+  EXPECT_GE(sample_memory().heap_bytes, before + kBlock);
+}
+
 TEST(Profiler, PeakRssIsTheProcessImagesOwnNotItsLaunchers) {
   // Linux carries getrusage's ru_maxrss across exec, so a process
   // launched by a large one would record the launcher's peak. Touch

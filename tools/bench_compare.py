@@ -4,27 +4,22 @@
 Usage:
     bench_compare.py BASELINE.json[,BASELINE2.json...] \
         CURRENT.json[,CURRENT2.json...] \
-        [--key indexed_queue.events_per_sec]... \
-        [--key-if-present sim_loop.events_per_sec]... [--max-regression 0.02]
+        [--key indexed_queue.events_per_sec]... [--max-regression 0.02]
 
-Every file is a bench snapshot with the same shape (BENCH_sim_kernel.json,
-BENCH_workloads.json, ...). Each side may list several snapshots of
-repeated runs, comma-separated; a side's value for a key is then its best
+Every file is a bench snapshot with the same shape
+(BENCH_sim_kernel.json). Each side may list several snapshots of repeated
+runs, comma-separated; a side's value for a key is then its best
 (highest) across them. A slowdown from the host - a noisy neighbour, a
 frequency dip - hits some runs and spares others, while a slowdown from
 the code hits every run, the fastest included; so best-of-N compares the
 code, where one run per side compares the host. Alternate the two sides'
-runs so that a slow stretch of the host touches both.
---key may repeat: every named metric is
-compared and the gate fails if ANY of them regresses past the tolerance.
-With no --key the gate defaults to the indexed event queue's
-events-per-second, the repo's headline kernel throughput.
---key-if-present behaves like --key but skips (with a notice) any metric
-absent from a snapshot on either side - for gating metrics the baseline
-commit did not emit yet, without breaking the first CI run that
-introduces them. A regression is
-(baseline - current) / baseline; the script exits non-zero when it
-exceeds --max-regression. Improvements always pass.
+runs so that a slow stretch of the host touches both. --key may repeat:
+every named metric is compared and the gate fails if ANY of them
+regresses past the tolerance. With no --key the gate defaults to the
+indexed event queue's events-per-second, the repo's headline kernel
+throughput. A regression is (baseline - current) / baseline; the script
+exits non-zero when it exceeds --max-regression. Improvements always
+pass.
 
 Meant to run on one machine within one CI job (baseline built from the
 parent commit, current from the candidate), so the comparison is
@@ -66,9 +61,6 @@ def main():
     parser.add_argument("--key", action="append",
                         help="dotted path of a metric (higher = better); "
                              "repeatable, all named keys must hold")
-    parser.add_argument("--key-if-present", action="append", dest="key_if_present",
-                        help="like --key, but skipped with a notice when the "
-                             "metric is missing from either snapshot")
     parser.add_argument("--max-regression", type=float, default=0.02,
                         help="fraction of baseline allowed to regress")
     args = parser.parse_args()
@@ -77,16 +69,6 @@ def main():
     baseline_docs = load_all(args.baseline)
     current_docs = load_all(args.current)
     runs = f"best of {len(baseline_docs)} vs {len(current_docs)} runs"
-
-    for key in args.key_if_present or []:
-        try:
-            best(baseline_docs, key)
-            best(current_docs, key)
-        except KeyError as missing:
-            print(f"bench_compare: skipping {key} "
-                  f"(key {missing} absent from a snapshot)")
-            continue
-        keys.append(key)
 
     failed = []
     for key in keys:

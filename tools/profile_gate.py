@@ -6,9 +6,9 @@ Reads the canonical profile emitted by `sdcm_sweep --profile`
 model, divides by that model's `loop_ns`, and fails if the share
 exceeds the bound.  This is the per-PR tripwire for the interest-scoped
 multicast win (DESIGN.md section 14): the two FRODO delivery sites that
-used to be 85% of the 10^4-User churn run loop must stay a small slice,
-both in the committed `PROFILE_churn_1e4.jsonl` artifact and in the
-CI-sized profile the profile job re-emits.
+used to be 85% of the 10^4-User churn run loop must stay a small slice
+of it.  CI's profile job profiles that campaign afresh on every run and
+gates the result here.
 
 Usage:
   profile_gate.py PROFILE.jsonl --model FRODO-3party \
